@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-# The recursive triangle detector: high-degree vertices trigger a two-branch
-# split, low-degree instances go to the lookup-table path, tiny sides are
-# searched exhaustively. The RunStats counters show which paths fired.
+# The recursive triangle detector: a high-degree vertex's neighborhood block
+# is settled by one scan and the rest splits three ways, low-degree instances
+# go to the lookup-table path, tiny sides are searched exhaustively. The
+# RunStats counters show which paths fired.
 
 import trimat as tm
 

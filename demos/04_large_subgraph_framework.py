@@ -31,8 +31,9 @@ for _ in range(5):
     assert got.found == expect.found
 
 # The built-in finder wraps the high-degree/sparse dichotomy: a violating
-# vertex donates its neighborhood block (settled by one pair scan), otherwise
-# the whole view is certified by the lookup-table detector.
+# vertex's neighborhoods B1, C1 give the block A x B1 x C1 (settled by one
+# scan of B1 x C1), otherwise the whole view is certified by the lookup-table
+# detector.
 finder = tm.high_degree_finder(delta=2)
 print("\nbuilt-in high-degree finder:")
 for density in (0.03, 0.5):

@@ -12,7 +12,13 @@ import time
 from . import bitmat, detector, framework, oracle, reduction
 from . import four_russians as fr
 from .errors import FormatError, TrimatError
-from .graph import RunStats, TripartiteGraph, format_graph_text, parse_graph_text
+from .graph import (
+    RunStats,
+    TripartiteGraph,
+    format_graph_text,
+    parse_general_graph_text,
+    parse_graph_text,
+)
 from .randgen import CounterRng, random_bitmatrix, random_tripartite
 
 DETECT_ALGOS = ("recursive", "sparse", "framework", "bmm", "brute")
@@ -27,39 +33,6 @@ class UsageError(Exception):
 def _read(path: str) -> str:
     with open(path, "r", encoding="ascii") as fh:
         return fh.read()
-
-
-def _load_general_graph(text: str) -> TripartiteGraph:
-    from .graph import from_general_graph
-
-    lines = text.splitlines()
-    n = None
-    edges = []
-    for no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 1:
-                raise FormatError(no, f"expected vertex count alone, got {raw!r}")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise FormatError(no, f"non-integer vertex count {raw!r}") from None
-            continue
-        if len(parts) != 2:
-            raise FormatError(no, f"expected edge 'i j', got {raw!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError(no, f"non-integer endpoint in {raw!r}") from None
-    if n is None:
-        raise FormatError(1, "empty input, expected vertex count")
-    try:
-        return from_general_graph(n, edges)
-    except IndexError as exc:
-        raise FormatError(1, str(exc)) from None
 
 
 def _run_detect_algo(algo: str, g: TripartiteGraph, delta: int,
@@ -81,7 +54,7 @@ def _run_detect_algo(algo: str, g: TripartiteGraph, delta: int,
 
 def cmd_detect(args) -> int:
     text = _read(args.graph)
-    g = _load_general_graph(text) if args.general else parse_graph_text(text)
+    g = parse_general_graph_text(text) if args.general else parse_graph_text(text)
     stats = RunStats()
     verdict = _run_detect_algo(args.algo, g, args.delta, args.small_threshold, stats)
     if verdict.found:

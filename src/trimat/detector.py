@@ -1,38 +1,43 @@
-"""Recursive divide-and-conquer triangle detection.
+"""Triangle detection by finding easy parts and recursing on the rest.
 
-Each recursion node runs, in order:
+One explicit-stack engine, `_search`, drives both recursive detectors.
+Each node of the search is a view.  A leaf rule answers small views
+directly; otherwise an easy-part finder settles a block A' x B' x C' of the
+view (a triangle inside it ends the search) and the node pushes three
+children that partition the triples outside the block:
+
+    (A, B, C \\ C'), (A, B \\ B', C'), (A \\ A', B', C')
+
+or, cut along B' first, (A, B \\ B', C), (A, B', C \\ C'), (A \\ A', B', C').
+
+`detect` is the divide-and-conquer detector built on this engine:
 
   Step 0  small B or C side: exhaustive word-assisted search, done.
   Step 1  every A-vertex satisfies the degree bound: sparse detection
-          through a freshly built subset-pair table, done.
+          through a freshly built subset-pair table settles the whole view.
   Step 2  pick the lowest-index violating vertex v1.
-  Step 3  split on v1's neighborhoods B1, C1 and recurse on the two views
-          that together cover every B x C pair outside B1 x C1.
-  Step 4  scan B1 x C1 directly for a B-C edge.
+  Step 4  scan B1 x C1, v1's neighborhoods, for a B-C edge.  Without one no
+          A-vertex closes a triangle through B1 x C1, so the settled block
+          is A x B1 x C1.
+  Step 3  push the three children around that block; the third has an
+          empty A part and ends at once.
 
 The charging instrumentation backs the accounting argument: every (b, c)
-pair is paid for by exactly one Step-4 scan or leaf call, which the
+pair is paid for by exactly one finder call or leaf call, which the
 optional ledger verifies as set-disjointness at test scale.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import four_russians as fr
 from .bitmat import first_set_bit, pack_index_mask, unpack_word_indices
 from .errors import InvariantError
-from .graph import (
-    RunStats,
-    SubInstance,
-    TripartiteGraph,
-    Verdict,
-    degree,
-    neighborhood,
-)
+from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, neighborhood
 
 DEFAULT_CHARGE_BUDGET = 1 << 24
 
@@ -91,6 +96,30 @@ class ChargeLedger:
         self.charged += len(ib) * len(ic)
 
 
+@dataclass
+class FinderResult:
+    """What an easy-part finder returns for one view.
+
+    triangle_free=True certifies the subgraph induced by the three returned
+    lists has no triangle; False means it has one and witness names it.
+    fraction_exempt marks outputs whose part sizes are vouched for by the
+    finder itself rather than the configured fractions (the built-in
+    high-degree finder settles A x B1 x C1, where only the product
+    |B1||C1| is bounded below and neither side need reach a fixed fraction
+    of B or C).
+    """
+
+    a_part: np.ndarray
+    b_part: np.ndarray
+    c_part: np.ndarray
+    triangle_free: bool
+    witness: tuple[int, int, int] | None = None
+    fraction_exempt: bool = False
+
+
+EasyPartFinder = Callable[[TripartiteGraph, SubInstance, RunStats], FinderResult]
+
+
 def detect(
     g: TripartiteGraph,
     cfg: DetectorConfig | None = None,
@@ -99,77 +128,110 @@ def detect(
     """Detect a triangle (one vertex per part) in a tripartite graph."""
     cfg = cfg or DetectorConfig()
     stats = stats if stats is not None else RunStats()
+    small = cfg.small_threshold
     ledger = None
     if cfg.debug_charge_check and g.nB * g.nC <= cfg.charge_budget:
         ledger = ChargeLedger(g.nB, g.nC)
-    ensure_recursion_headroom(g.nA)
-    return _detect(g, g.full_view(), cfg, cfg.sparse_params(), stats, ledger)
 
+    def leaf(sub: SubInstance) -> Verdict | None:
+        if sub.na == 0 or sub.nb == 0 or sub.nc == 0:
+            return Verdict(False)
+        if sub.nb < small or sub.nc < small:
+            if ledger is not None:
+                ledger.charge(sub.ib, sub.ic)
+            return exhaustive_search(g, sub, stats)
+        return None
 
-def ensure_recursion_headroom(depth_bound: int) -> None:
-    """Raise the interpreter recursion limit to fit a recursion this deep."""
-    needed = depth_bound * 4 + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-
-
-def _detect(
-    g: TripartiteGraph,
-    sub: SubInstance,
-    cfg: DetectorConfig,
-    params: fr.SparseParams,
-    stats: RunStats,
-    ledger: ChargeLedger | None,
-) -> Verdict:
-    stats.recursion_nodes += 1
-    if sub.na == 0 or sub.nb == 0 or sub.nc == 0:
-        return Verdict(False)
-
-    # Step 0
-    if sub.nb < cfg.small_threshold or sub.nc < cfg.small_threshold:
-        if ledger is not None:
-            ledger.charge(sub.ib, sub.ic)
-        return exhaustive_search(g, sub, stats)
-
-    # Step 1
-    v1 = fr.check_degree_condition(g, sub, cfg.delta)
-    if v1 is None:
-        if ledger is not None:
-            ledger.charge(sub.ib, sub.ic)
-        stats.pairs_charged += sub.nb * sub.nc
-        return fr.sparse_detect(g, sub, params, stats)
-
-    # Step 2: re-assert the guarantee the choice of v1 rests on.
-    db = degree(g, sub, v1, "B")
-    dc = degree(g, sub, v1, "C")
-    if not db * dc * cfg.delta * cfg.delta > sub.nb * sub.nc:
-        raise InvariantError(
-            f"selected vertex {v1} does not violate the degree condition"
-        )
-
-    # Step 3
-    b1 = neighborhood(g, sub, v1, "B")
-    c1 = neighborhood(g, sub, v1, "C")
-    ia2 = sub.ia[sub.ia != v1]
-    if len(b1) * sub.nc > len(c1) * sub.nb:
-        views = (
-            (ia2, sub.ib, np.setdiff1d(sub.ic, c1, assume_unique=True)),
-            (ia2, np.setdiff1d(sub.ib, b1, assume_unique=True), c1),
-        )
-    else:
-        views = (
-            (ia2, np.setdiff1d(sub.ib, b1, assume_unique=True), sub.ic),
-            (ia2, b1, np.setdiff1d(sub.ic, c1, assume_unique=True)),
-        )
-    for ia_v, ib_v, ic_v in views:
-        verdict = _detect(g, SubInstance(g, ia_v, ib_v, ic_v), cfg, params, stats, ledger)
-        if verdict.found:
-            return verdict
-
-    # Step 4
+    finder = high_degree_finder(cfg.delta, cfg.sparse_params())
     if ledger is not None:
-        ledger.charge(b1, c1)
-    return step4_scan(g, b1, c1, v1, stats)
+        settle = finder
+
+        def finder(g, sub, stats):
+            res = settle(g, sub, stats)
+            ledger.charge(res.b_part, res.c_part)
+            return res
+
+    return _search(g, leaf, finder, stats)
+
+
+def _search(
+    g: TripartiteGraph,
+    leaf: Callable[[SubInstance], Verdict | None],
+    finder: EasyPartFinder,
+    stats: RunStats,
+    check: Callable[[FinderResult, SubInstance], None] | None = None,
+) -> Verdict:
+    """Depth-first search over views, children visited in the order pushed.
+
+    The leaf rule runs first at every node and answers it unless it returns
+    None; only then does the finder settle a block, which `check` (when
+    given) may reject before the split.
+    """
+    stack = [g.full_view()]
+    while stack:
+        sub = stack.pop()
+        stats.recursion_nodes += 1
+        verdict = leaf(sub)
+        if verdict is not None:
+            if verdict.found:
+                return verdict
+            continue
+        res = finder(g, sub, stats)
+        if check is not None:
+            check(res, sub)
+        if not res.triangle_free:
+            return Verdict(True, res.witness)
+        a2, b2, c2 = res.a_part, res.b_part, res.c_part
+        a_rest = np.setdiff1d(sub.ia, a2, assume_unique=True)
+        b_rest = np.setdiff1d(sub.ib, b2, assume_unique=True)
+        c_rest = np.setdiff1d(sub.ic, c2, assume_unique=True)
+        if len(b2) * sub.nc > len(c2) * sub.nb:
+            views = ((sub.ia, sub.ib, c_rest), (sub.ia, b_rest, c2), (a_rest, b2, c2))
+        else:
+            views = ((sub.ia, b_rest, sub.ic), (sub.ia, b2, c_rest), (a_rest, b2, c2))
+        volume = sub.na * sub.nb * sub.nc
+        covered = sum(len(a) * len(b) * len(c) for a, b, c in views + ((a2, b2, c2),))
+        if covered != volume:
+            raise InvariantError(f"three-way split does not cover the view: {covered} != {volume}")
+        stack.extend(SubInstance(g, a, b, c) for a, b, c in reversed(views))
+    return Verdict(False)
+
+
+def high_degree_finder(
+    delta: int = 2, params: fr.SparseParams | None = None
+) -> EasyPartFinder:
+    """Easy-part finder wrapping the high-degree / sparse dichotomy.
+
+    If some A-vertex v1 violates the degree bound, its neighborhoods B1, C1
+    give an easy block: one scan of B1 x C1 either finds an edge, which
+    closes a triangle through v1, or finds none, which rules out a triangle
+    through B1 x C1 for every A-vertex, so A x B1 x C1 is settled.
+    Otherwise the whole view is sparse enough for the lookup-table detector
+    and is returned intact.
+    """
+    params = params or fr.SparseParams(delta=delta)
+
+    def finder(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> FinderResult:
+        v1 = fr.check_degree_condition(g, sub, params.delta)
+        if v1 is None:
+            verdict = fr.sparse_detect(g, sub, params, stats)
+            stats.pairs_charged += sub.nb * sub.nc
+            return FinderResult(
+                sub.ia, sub.ib, sub.ic, not verdict.found, verdict.witness
+            )
+        b1 = neighborhood(g, sub, v1, "B")
+        c1 = neighborhood(g, sub, v1, "C")
+        # Step 2: re-assert the guarantee the choice of v1 rests on.
+        if not len(b1) * len(c1) * params.delta**2 > sub.nb * sub.nc:
+            raise InvariantError(
+                f"selected vertex {v1} does not violate the degree condition"
+            )
+        scan = step4_scan(g, b1, c1, v1, stats)
+        return FinderResult(
+            sub.ia, b1, c1, not scan.found, scan.witness, fraction_exempt=True
+        )
+
+    return finder
 
 
 def step4_scan(

@@ -3,26 +3,25 @@
 A finder receives a view and must hand back per-part subsets A', B', C'
 covering prescribed fractions of the view, together with a truthful
 triangle verdict for the induced subgraph (plus a witness when it found
-one).  The driver then owes the rest: it answers the finder's block
-directly and recurses on three views that partition the remaining triples,
-
-    (A, B, C \\ C'), (A, B \\ B', C'), (A \\ A', B', C'),
-
-so correctness holds for any contract-satisfying finder.
+one).  The search engine in `detector` then owes the rest: it takes the
+finder's verdict for the block and recurses on three views that partition
+the remaining triples, so correctness holds for any contract-satisfying
+finder.  This module polices that contract and re-exports the engine's
+finder interface and the built-in `high_degree_finder`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from . import four_russians as fr
-from .detector import ensure_recursion_headroom, exhaustive_search, step4_scan
-from .errors import FinderContractError, InvariantError
-from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, neighborhood
+from .detector import EasyPartFinder, FinderResult, _search, exhaustive_search
+from .detector import high_degree_finder, step4_scan  # noqa: F401  (re-exported)
+from .errors import FinderContractError
+from .graph import RunStats, SubInstance, TripartiteGraph, Verdict
+from .oracle import brute_triangle
 
 DEBUG_VERIFY_VOLUME_CAP = 200_000
 
@@ -44,29 +43,6 @@ class FrameworkConfig:
             raise ValueError("small_volume_threshold must be at least 1")
 
 
-@dataclass
-class FinderResult:
-    """What an easy-part finder returns for one view.
-
-    triangle_free=True certifies the subgraph induced by the three returned
-    lists has no triangle; False means it has one and witness names it.
-    fraction_exempt marks outputs whose part sizes are vouched for by the
-    finder itself rather than the configured fractions (the built-in
-    high-degree finder pins A' to a single vertex, which no fixed fraction
-    of A can describe).
-    """
-
-    a_part: np.ndarray
-    b_part: np.ndarray
-    c_part: np.ndarray
-    triangle_free: bool
-    witness: tuple[int, int, int] | None = None
-    fraction_exempt: bool = False
-
-
-EasyPartFinder = Callable[[TripartiteGraph, SubInstance, RunStats], FinderResult]
-
-
 def _required(frac: float, size: int) -> int:
     if size == 0:
         return 0
@@ -85,12 +61,21 @@ def detect_with_finder(
     """Run the three-way recursion around an easy-part finder."""
     cfg = cfg or FrameworkConfig()
     stats = stats if stats is not None else RunStats()
-    n0 = g.nA + g.nB + g.nC
     threshold = cfg.small_volume_threshold
     if threshold is None:
-        threshold = max(1, math.ceil(n0**2.5))
-    ensure_recursion_headroom(n0)
-    return _drive(g, g.full_view(), finder, cfg, threshold, stats)
+        threshold = max(1, math.ceil((g.nA + g.nB + g.nC) ** 2.5))
+
+    def leaf(sub: SubInstance) -> Verdict | None:
+        if sub.na * sub.nb * sub.nc < threshold:
+            return exhaustive_search(g, sub, stats)
+        return None
+
+    def check(res: FinderResult, sub: SubInstance) -> None:
+        _validate(res, sub, cfg)
+        if cfg.debug_verify_finder:
+            _verify_truthfulness(g, res)
+
+    return _search(g, leaf, finder, stats, check)
 
 
 def _validate(
@@ -123,8 +108,6 @@ def _validate(
 
 def _verify_truthfulness(g: TripartiteGraph, res: FinderResult) -> None:
     """Debug-mode spot check of the finder's verdict against brute force."""
-    from .oracle import brute_triangle
-
     if res.witness is not None:
         a, b, c = res.witness
         if not (g.ab.get(a, b) and g.ac.get(a, c) and g.bc.get(b, c)):
@@ -136,95 +119,3 @@ def _verify_truthfulness(g: TripartiteGraph, res: FinderResult) -> None:
     block = SubInstance(g, res.a_part, res.b_part, res.c_part)
     if brute_triangle(g, block).found:
         raise FinderContractError("finder called a block triangle-free that is not")
-
-
-def _drive(
-    g: TripartiteGraph,
-    sub: SubInstance,
-    finder: EasyPartFinder,
-    cfg: FrameworkConfig,
-    threshold: int,
-    stats: RunStats,
-) -> Verdict:
-    stats.recursion_nodes += 1
-    volume = sub.na * sub.nb * sub.nc
-
-    # Step 0
-    if volume < threshold:
-        return exhaustive_search(g, sub, stats)
-
-    # Step 1
-    res = finder(g, sub, stats)
-    _validate(res, sub, cfg)
-    if cfg.debug_verify_finder:
-        _verify_truthfulness(g, res)
-    if not res.triangle_free:
-        return Verdict(True, res.witness)
-
-    # Triangle-free block: trim to the exact fractional sizes (dropping the
-    # highest indices) unless the finder vouches for its own sizes.
-    if res.fraction_exempt:
-        a2, b2, c2 = res.a_part, res.b_part, res.c_part
-    else:
-        a2 = res.a_part[: _required(cfg.alpha, sub.na)]
-        b2 = res.b_part[: _required(cfg.beta, sub.nb)]
-        c2 = res.c_part[: _required(cfg.gamma, sub.nc)]
-
-    # Step 2
-    c_rest = np.setdiff1d(sub.ic, c2, assume_unique=True)
-    b_rest = np.setdiff1d(sub.ib, b2, assume_unique=True)
-    a_rest = np.setdiff1d(sub.ia, a2, assume_unique=True)
-    covered = (
-        sub.na * sub.nb * len(c_rest)
-        + sub.na * len(b_rest) * len(c2)
-        + len(a_rest) * len(b2) * len(c2)
-        + len(a2) * len(b2) * len(c2)
-    )
-    if covered != volume:
-        raise InvariantError(
-            f"three-way split does not cover the view: {covered} != {volume}"
-        )
-    for ia_v, ib_v, ic_v in (
-        (sub.ia, sub.ib, c_rest),
-        (sub.ia, b_rest, c2),
-        (a_rest, b2, c2),
-    ):
-        verdict = _drive(g, SubInstance(g, ia_v, ib_v, ic_v), finder, cfg, threshold, stats)
-        if verdict.found:
-            return verdict
-    return Verdict(False)
-
-
-def high_degree_finder(
-    delta: int = 2, params: fr.SparseParams | None = None
-) -> EasyPartFinder:
-    """Easy-part finder wrapping the high-degree / sparse dichotomy.
-
-    If some A-vertex v1 violates the degree bound, its neighborhood block
-    ({v1}, B1, C1) is easy: every pair in B1 x C1 closes a triangle through
-    v1, so one scan of B1 x C1 settles the block.  Otherwise the whole view
-    is sparse enough for the lookup-table detector and is returned intact.
-    """
-    params = params or fr.SparseParams(delta=delta)
-
-    def finder(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> FinderResult:
-        v1 = fr.check_degree_condition(g, sub, params.delta)
-        if v1 is None:
-            verdict = fr.sparse_detect(g, sub, params, stats)
-            stats.pairs_charged += sub.nb * sub.nc
-            return FinderResult(
-                sub.ia, sub.ib, sub.ic, not verdict.found, verdict.witness
-            )
-        b1 = neighborhood(g, sub, v1, "B")
-        c1 = neighborhood(g, sub, v1, "C")
-        scan = step4_scan(g, b1, c1, v1, stats)
-        return FinderResult(
-            np.asarray([v1], dtype=np.int64),
-            b1,
-            c1,
-            not scan.found,
-            scan.witness,
-            fraction_exempt=True,
-        )
-
-    return finder

@@ -249,31 +249,35 @@ def from_general_graph(n: int, edges) -> TripartiteGraph:
     return g
 
 
-# -- graph text format ----------------------------------------------------
-# Line 1: "nA nB nC"; then lines "P i j" with P in {AB, AC, BC}.
-# Blank lines are ignored and '#' starts a comment.
+# -- graph text formats ---------------------------------------------------
+# Tripartite: line 1 "nA nB nC"; then lines "P i j" with P in {AB, AC, BC}.
+# General: line 1 "n"; then lines "i j", one per undirected edge.
+# In both, blank lines are ignored and '#' starts a comment.
+
+def _content_lines(text: str):
+    """(line number, raw line, fields) for every line with content."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield no, raw, parts
+
 
 def parse_graph_text(text: str) -> TripartiteGraph:
-    lines = text.splitlines()
-    header = None
-    g = None
-    for no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 3:
-                raise FormatError(no, f"expected 'nA nB nC' header, got {raw!r}")
-            try:
-                na, nb, nc = (int(p) for p in parts)
-            except ValueError:
-                raise FormatError(no, f"non-integer part size in {raw!r}") from None
-            if min(na, nb, nc) < 0:
-                raise FormatError(no, "part sizes must be non-negative")
-            header = (na, nb, nc)
-            g = TripartiteGraph(na, nb, nc)
-            continue
+    lines = _content_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise FormatError(1, "empty input, expected 'nA nB nC' header")
+    no, raw, parts = first
+    if len(parts) != 3:
+        raise FormatError(no, f"expected 'nA nB nC' header, got {raw!r}")
+    try:
+        na, nb, nc = (int(p) for p in parts)
+    except ValueError:
+        raise FormatError(no, f"non-integer part size in {raw!r}") from None
+    if min(na, nb, nc) < 0:
+        raise FormatError(no, "part sizes must be non-negative")
+    g = TripartiteGraph(na, nb, nc)
+    for no, raw, parts in lines:
         if len(parts) != 3 or parts[0] not in (PAIR_AB, PAIR_AC, PAIR_BC):
             raise FormatError(no, f"expected 'P i j' with P in {{AB,AC,BC}}, got {raw!r}")
         try:
@@ -284,9 +288,36 @@ def parse_graph_text(text: str) -> TripartiteGraph:
             g.add_edge(parts[0], i, j)
         except IndexError:
             raise FormatError(no, f"endpoint out of range in {raw!r}") from None
-    if g is None:
-        raise FormatError(1, "empty input, expected 'nA nB nC' header")
     return g
+
+
+def parse_general_graph_text(text: str) -> TripartiteGraph:
+    """Parse a general graph and apply the 3-copy construction."""
+    lines = _content_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise FormatError(1, "empty input, expected vertex count")
+    no, raw, parts = first
+    if len(parts) != 1:
+        raise FormatError(no, f"expected vertex count alone, got {raw!r}")
+    try:
+        n = int(parts[0])
+    except ValueError:
+        raise FormatError(no, f"non-integer vertex count {raw!r}") from None
+    if n < 0:
+        raise FormatError(no, "vertex count must be non-negative")
+    edges = []
+    for no, raw, parts in lines:
+        if len(parts) != 2:
+            raise FormatError(no, f"expected edge 'i j', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(no, f"non-integer endpoint in {raw!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(no, f"endpoint out of range in {raw!r}")
+        edges.append((u, v))
+    return from_general_graph(n, edges)
 
 
 def format_graph_text(g: TripartiteGraph) -> str:

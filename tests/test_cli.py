@@ -142,6 +142,17 @@ def test_parse_error_names_line_and_exits_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "text, line", [("3\n0 1\n1 2\n0 9\n", "line 4"), ("-2\n", "line 1")]
+)
+def test_general_graph_error_names_line_and_exits_2(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    code, _, err = run(capsys, ["detect", "--graph", str(path), "--general"])
+    assert code == 2
+    assert line in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["detect", "--graph", "/nonexistent/x.graph"])
     assert code == 2

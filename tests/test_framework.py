@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,7 +84,7 @@ def test_high_degree_finder_matches_brute_force():
         for _ in range(70):
             na, nb, nc = (1 + rng.next_below(50) for _ in range(3))
             g = tm.random_tripartite(rng, na, nb, nc, density)
-            cfg = tm.FrameworkConfig(small_volume_threshold=1)
+            cfg = tm.FrameworkConfig(small_volume_threshold=1, debug_verify_finder=True)
             got = tm.detect_with_finder(g, finder, cfg)
             assert got.found == tm.brute_triangle(g).found
             if got.found:
@@ -91,11 +94,12 @@ def test_high_degree_finder_matches_brute_force():
 def test_high_degree_finder_branches():
     finder = tm.high_degree_finder(2)
     dense = complete_tripartite(8, 8, 8)
-    res = finder(dense, dense.full_view(), tm.RunStats())
+    view = dense.full_view()
+    res = finder(dense, view, tm.RunStats())
     assert res.fraction_exempt
     assert not res.triangle_free and res.witness is not None
     # the violating vertex sees everything, so its block spans B and C whole
-    assert len(res.a_part) == 1
+    assert np.array_equal(res.a_part, view.ia)
     assert len(res.b_part) == 8 and len(res.c_part) == 8
 
     edgeless = tm.TripartiteGraph(4, 4, 4)
@@ -142,6 +146,38 @@ def test_any_legal_fraction_finder_matches_oracle(alpha, beta, gamma, seed):
     )
     got = tm.detect_with_finder(g, finder, cfg)
     assert got.found == tm.brute_triangle(g).found
+
+
+def test_recursion_limit_is_left_alone():
+    rng = tm.CounterRng(167)
+    limit = sys.getrecursionlimit()
+    g = tm.random_tripartite(rng, 40, 40, 40, 0.1)
+    tm.detect(g, tm.DetectorConfig(small_threshold=2))
+    assert sys.getrecursionlimit() == limit
+    forced = tm.FrameworkConfig(small_volume_threshold=1)
+    tm.detect_with_finder(g, tm.high_degree_finder(2), forced)
+    assert sys.getrecursionlimit() == limit
+
+    # A thin slice of A per node makes the search about 170 views deep, far
+    # deeper than the lowered limit leaves room for.
+    deep = tm.TripartiteGraph(250, 4, 4)
+    for a in range(250):
+        for j in range(4):
+            deep.ab.set(a, j)
+            deep.ac.set(a, j)
+    cfg = tm.FrameworkConfig(alpha=0.01, small_volume_threshold=1)
+    stats = tm.RunStats()
+    low = len(inspect.stack(0)) + 60
+    sys.setrecursionlimit(low)
+    try:
+        got = tm.detect_with_finder(deep, fraction_finder(0.01, 1.0, 1.0), cfg, stats)
+        assert not tm.detect(deep, tm.DetectorConfig(small_threshold=2)).found
+        lowered = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert lowered == low
+    assert not got.found
+    assert stats.recursion_nodes > 3 * 150
 
 
 def test_driver_rejects_undersized_parts():
