@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 # The degree-bounded sparse case: group the B and C parts, precompute
 # edge-existence for every small subset pair into a table, then answer each
-# neighborhood chunk pair with a single lookup.
+# A-vertex's neighborhood chunk pairs with a single gather from it.
 
 import numpy as np
 
 import trimat as tm
-from trimat.four_russians import build_pair_table, estimate_table_entries, partition_chunks
+from trimat.four_russians import build_pair_table, chunk_slots, estimate_table_entries, slot_members
 
 rng = tm.CounterRng(3)
 g = tm.random_tripartite(rng, 50, 48, 48, 0.04)
@@ -14,7 +14,7 @@ sub = g.full_view()
 
 params = tm.SparseParams(delta=2)
 print("delta =", params.delta, "-> group size", params.group_size,
-      "and subsets of size <=", params.subset_cap)
+      "and subsets of size <=", params.delta)
 print("estimated table entries:", estimate_table_entries(48, 48, params))
 
 # The detector only uses the table when no A-vertex has a big degree product.
@@ -22,16 +22,25 @@ violator = tm.check_degree_condition(g, sub, params.delta)
 print("degree condition violator:", violator)
 
 table = build_pair_table(g, sub.ib, sub.ic, params)
-print("table built:", len(table.b_subsets), "B-subsets x", len(table.c_subsets),
-      "C-subsets,", int(table.entries.sum()), "positive entries")
+rows, cols = table.entries.shape
+print("table built:", rows, "B-slots x", cols, "C-slots,",
+      int(table.entries.sum()), "positive entries")
+
+# A subset's slot is arithmetic: group * S(group size, delta) plus one
+# subset-count term per member, largest offset first.
+members = slot_members(48, params.delta)
+for slot in (0, 1, 8, 9, 36, 37, 38):
+    print(f"  slot {slot:2d} holds positions {[int(p) for p in members[slot] if p >= 0]}")
 
 # How a neighborhood turns into table queries: per group, runs of exactly
-# delta plus at most one remainder.
-v = 0
+# delta plus at most one remainder, each named by its slot.
+v = max(range(g.nA), key=lambda a: tm.degree(g, sub, a, "B"))
 nbh = tm.neighborhood(g, sub, v, "B")
-chunks = partition_chunks(np.searchsorted(sub.ib, nbh), params.group_size, params.subset_cap)
+positions = np.searchsorted(sub.ib, nbh)
+slots, bounds = chunk_slots(positions, params.delta)
 print(f"\nvertex {v}: B-neighborhood {list(map(int, nbh))}")
-print("chunks (group, offsets):", chunks)
+for k, slot in enumerate(slots):
+    print(f"  chunk {list(map(int, positions[bounds[k]:bounds[k + 1]]))} -> slot {int(slot)}")
 
 stats = tm.RunStats()
 verdict = tm.sparse_detect(g, sub, params, stats, table=table)

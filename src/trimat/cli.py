@@ -1,6 +1,7 @@
 """Command-line harness: detect, multiply, verify, bench, stats-demo.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse errors,
+3 resource limits (a pair table over its entry budget).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import time
 
 from . import bitmat, detector, framework, oracle, reduction
 from . import four_russians as fr
-from .errors import FormatError, TrimatError
+from .errors import FormatError, InvariantError, TableBudgetError, TrimatError
 from .graph import (
     RunStats,
     TripartiteGraph,
@@ -182,7 +183,7 @@ def cmd_stats_demo(args) -> int:
     stats = RunStats()
     try:
         verdict = detector.detect(g, cfg, stats)
-    except TrimatError as exc:
+    except InvariantError as exc:
         print(f"charged-pair uniqueness: VIOLATED ({exc})")
         return 1
     print("charged-pair uniqueness: OK")
@@ -246,6 +247,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TableBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except TrimatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

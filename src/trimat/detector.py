@@ -57,7 +57,6 @@ class DetectorConfig:
     small_threshold: int | None = None
     debug_charge_check: bool = False
     charge_budget: int = DEFAULT_CHARGE_BUDGET
-    subset_cap: int | None = None
     max_table_entries: int = fr.DEFAULT_TABLE_BUDGET
 
     def __post_init__(self):
@@ -70,7 +69,6 @@ class DetectorConfig:
     def sparse_params(self) -> fr.SparseParams:
         return fr.SparseParams(
             delta=self.delta,
-            subset_cap=self.subset_cap,
             max_table_entries=self.max_table_entries,
         )
 

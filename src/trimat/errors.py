@@ -20,8 +20,9 @@ class FormatError(TrimatError):
 class TableBudgetError(TrimatError):
     """Building a subset-pair lookup table would exceed the entry budget.
 
-    The fix is on the caller's side: reduce delta (or the subset cap), or
-    raise the budget explicitly.
+    The table grows with delta, which sets both the group size delta**3 and
+    the largest subset size.  The fix is on the caller's side: reduce delta,
+    or raise max_table_entries explicitly.
     """
 
     def __init__(self, estimated_entries: int, budget: int):

@@ -1,23 +1,34 @@
 """Degree-bounded sparse-case triangle detection via a subset-pair table.
 
 The B and C parts of the view are split into groups of delta**3
-consecutive vertices.  For every subset of at most `subset_cap` vertices
-inside a single B-group and every such subset inside a single C-group, a
-table records whether any B-C edge runs between the two subsets.  A
-detection pass then partitions each A-vertex's neighborhoods into such
-chunks and answers every chunk pair with one table lookup, which is where
-the per-query log-factor savings come from.
+consecutive positions.  For every subset of at most delta positions inside
+a single B-group and every such subset inside a single C-group, a table
+records whether any B-C edge runs between the two subsets.  A detection
+pass then cuts each A-vertex's neighborhoods into such chunks and answers
+all of its chunk pairs with one table gather, which is where the
+per-query log-factor savings come from.
+
+A subset's table slot is a pure function of the subset.  Let
+S(m, c) = sum_{k<=c} C(m, k), the number of subsets of at most c out of m
+offsets, and order the subsets of a group largest offset first.  The
+subset of group g with offsets o_1 > o_2 > ... > o_k sits in slot
+
+    g * S(delta**3, delta) + sum_i S(o_i, delta - (i - 1))
+
+so the subsets of a short last group of length L are exactly its first
+S(L, delta) slots, and the table has no gaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .bitmat import pack_index_mask, unpack_word_indices
+from .bitmat import unpack_word_indices
 from .errors import InvariantError, TableBudgetError
 from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, degrees_all
 
@@ -28,24 +39,19 @@ DEFAULT_TABLE_BUDGET = 1 << 25
 class SparseParams:
     """Tuning knobs for the sparse detector.
 
-    delta is the chunk-size parameter; the asymptotically prescribed value
-    is below 1 at any feasible input size, so it is a plain tuning knob
-    here, clamped to at least 1.  subset_cap bounds the subset sizes that
-    get precomputed (defaults to delta) and max_table_entries aborts
-    table builds that would blow the memory budget.
+    delta is the chunk-size parameter: groups hold delta**3 positions and
+    table subsets at most delta of them.  The asymptotically prescribed
+    value is below 1 at any feasible input size, so it is a plain tuning
+    knob here, clamped to at least 1.  max_table_entries aborts table
+    builds that would blow the memory budget.
     """
 
     delta: int = 2
-    subset_cap: int | None = None
     max_table_entries: int = DEFAULT_TABLE_BUDGET
     check_precondition: bool = False
 
     def __post_init__(self):
         self.delta = max(1, int(self.delta))
-        if self.subset_cap is None:
-            self.subset_cap = self.delta
-        if self.subset_cap < 1:
-            raise ValueError("subset_cap must be at least 1")
 
     @property
     def group_size(self) -> int:
@@ -74,85 +80,99 @@ def check_degree_condition(
     return None
 
 
-def encode_subset(group: int, offsets: tuple[int, ...], bits: int, cap: int, sentinel: int) -> int:
-    """Pack (group, local offsets) into one integer key.
-
-    Offsets are packed `bits` wide each, padded with the sentinel value up
-    to cap slots; the group index occupies the high bits.  Injective for
-    sorted offset tuples of length <= cap.
-    """
-    key = group
-    for s in range(cap):
-        key = (key << bits) | (offsets[s] if s < len(offsets) else sentinel)
-    return key
+def _subsets_up_to(m: int, c: int) -> int:
+    """S(m, c): the number of subsets of at most c out of m offsets."""
+    return sum(comb(m, k) for k in range(min(c, m) + 1))
 
 
-def _subset_count(group_len: int, cap: int) -> int:
-    return sum(comb(group_len, k) for k in range(0, min(cap, group_len) + 1))
+@lru_cache(maxsize=256)
+def _subset_counts(delta: int, m: int) -> np.ndarray:
+    """Read-only counts[i, c] = S(i, c) for i <= m and c <= delta."""
+    counts = np.array(
+        [[_subsets_up_to(i, c) for c in range(delta + 1)] for i in range(m + 1)],
+        dtype=np.int64,
+    )
+    counts.setflags(write=False)
+    return counts
 
 
-class PairTable:
-    """Lookup table: (subset of a B-group, subset of a C-group) -> edge bit.
-
-    Entries live in a dense bool matrix indexed by per-side slot numbers;
-    the per-side dicts map packed subset keys to slots.  Immutable after
-    build; sharing across threads is safe.
-    """
-
-    def __init__(self, params: SparseParams, ib: np.ndarray, ic: np.ndarray):
-        self.params = params
-        self.group_size = params.group_size
-        self.groups_b = -(-len(ib) // self.group_size) if len(ib) else 0
-        self.groups_c = -(-len(ic) // self.group_size) if len(ic) else 0
-        self.key_bits = self.group_size.bit_length()
-        self.sentinel = self.group_size
-        self.b_slots: dict[int, int] = {}
-        self.c_slots: dict[int, int] = {}
-        self.b_subsets: list[tuple[int, tuple[int, ...]]] = []
-        self.c_subsets: list[tuple[int, tuple[int, ...]]] = []
-        self.entries = np.zeros((0, 0), dtype=bool)
-
-    def encode(self, group: int, offsets: tuple[int, ...]) -> int:
-        return encode_subset(group, offsets, self.key_bits, self.params.subset_cap, self.sentinel)
-
-    def lookup(self, b_key: int, c_key: int) -> bool:
-        """One table query; a missing key means the build was broken."""
-        try:
-            return bool(self.entries[self.b_slots[b_key], self.c_slots[c_key]])
-        except KeyError:
-            raise InvariantError(f"pair table is missing key ({b_key}, {c_key})") from None
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-
-def _side_subsets(indices: np.ndarray, params: SparseParams):
-    """All (group, offsets) subsets of size 0..cap within each group."""
-    gs = params.group_size
-    out = []
-    for g0 in range(0, len(indices), gs):
-        group = g0 // gs
-        glen = min(gs, len(indices) - g0)
-        out.append((group, ()))
-        for size in range(1, min(params.subset_cap, glen) + 1):
-            for offs in combinations(range(glen), size):
-                out.append((group, offs))
+@lru_cache(maxsize=64)
+def _slot_offsets(delta: int, glen: int) -> np.ndarray:
+    """Read-only; row s lists the offsets of slot s of a group, -1 padded."""
+    counts = _subset_counts(delta, glen)
+    out = np.full((counts[glen, delta], delta), -1, dtype=np.int64)
+    for k in range(1, min(delta, glen) + 1):
+        for offs in combinations(range(glen), k):
+            out[sum(counts[o, delta - j] for j, o in enumerate(reversed(offs))), :k] = offs
+    out.setflags(write=False)
     return out
 
 
+def _side_slots(n: int, delta: int) -> int:
+    full, rem = divmod(n, delta**3)
+    return full * _subsets_up_to(delta**3, delta) + (_subsets_up_to(rem, delta) if rem else 0)
+
+
 def estimate_table_entries(nb: int, nc: int, params: SparseParams) -> int:
-    gs, cap = params.group_size, params.subset_cap
+    return _side_slots(nb, params.delta) * _side_slots(nc, params.delta)
 
-    def side(n: int) -> int:
-        if n == 0:
-            return 0
-        full, rem = divmod(n, gs)
-        total = full * _subset_count(gs, cap)
-        if rem:
-            total += _subset_count(rem, cap)
-        return total
 
-    return side(nb) * side(nc)
+def slot_members(n: int, delta: int) -> np.ndarray:
+    """View positions of the subset in each slot of an n-position side.
+
+    Row s lists the members of slot s.  Unused cells hold -1, so a caller
+    that appends one empty row or column to its data can index with them.
+    """
+    gs = delta**3
+    offs = _slot_offsets(delta, min(n, gs))
+    base = np.arange(-(-n // gs), dtype=np.int64)[:, None, None] * gs
+    members = np.where(offs < 0, -1, offs + base).reshape(-1, delta)
+    return members[: _side_slots(n, delta)]
+
+
+def chunk_slots(positions: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut sorted view positions into table chunks: (slots, bounds).
+
+    Within each group the positions are cut into consecutive runs of
+    exactly delta plus at most one smaller remainder, which is the minimum
+    possible number of legal table subsets covering them.  Chunk k holds
+    positions[bounds[k]:bounds[k + 1]] and sits in table slot slots[k].
+    """
+    n = len(positions)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    gs = delta**3
+    # counts reaches row gs, and so holds the group stride S(gs, delta),
+    # whenever a position lies beyond group 0
+    counts = _subset_counts(delta, min(gs, int(positions[-1]) + 1))
+    group = positions // gs
+    idx = np.arange(n)
+    group_start = np.ones(n, dtype=bool)
+    group_start[1:] = group[1:] != group[:-1]
+    rank = idx - np.maximum.accumulate(np.where(group_start, idx, 0))
+    starts = np.flatnonzero(rank % delta == 0)
+    bounds = np.append(starts, n)
+    # j = how many positions of the same chunk lie above this one
+    above = np.repeat(bounds[1:], np.diff(bounds)) - 1 - idx
+    terms = counts[positions - group * gs, delta - above]
+    slots = np.add.reduceat(terms, starts) + group[starts] * counts[-1, delta]
+    return slots, bounds
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Lookup table: (subset of a B-group, subset of a C-group) -> edge bit.
+
+    entries[sb, sc] is True iff a B-C edge joins the B-subset in slot sb
+    to the C-subset in slot sc; slots follow the formula in the module
+    docstring.  Immutable after build; sharing across threads is safe.
+    """
+
+    params: SparseParams
+    entries: np.ndarray
+
+    def __len__(self) -> int:
+        return self.entries.size
 
 
 def build_pair_table(
@@ -160,9 +180,11 @@ def build_pair_table(
 ) -> PairTable:
     """Precompute edge-existence for every legal subset pair.
 
-    ib / ic are the view's (sorted) B and C index lists.  The entry for a
-    pair (S, S') is computed as "does the OR of the B-C rows of S hit the
-    column mask of S'", which vectorizes over all S' at once.
+    ib / ic are the view's (sorted) B and C index lists.  One B-group at a
+    time, the group's B-C rows are unpacked at the view's C columns, the
+    rows of each B-subset are ORed, and the result is gathered at the
+    members of every C-subset.  No temporary outgrows one group's rows of
+    the table, so peak memory stays close to the table itself.
     """
     ib = np.asarray(ib, dtype=np.int64)
     ic = np.asarray(ic, dtype=np.int64)
@@ -170,62 +192,22 @@ def build_pair_table(
     if estimate > params.max_table_entries:
         raise TableBudgetError(estimate, params.max_table_entries)
 
-    table = PairTable(params, ib, ic)
-    table.b_subsets = _side_subsets(ib, params)
-    table.c_subsets = _side_subsets(ic, params)
-    table.b_slots = {
-        table.encode(grp, offs): slot for slot, (grp, offs) in enumerate(table.b_subsets)
-    }
-    table.c_slots = {
-        table.encode(grp, offs): slot for slot, (grp, offs) in enumerate(table.c_subsets)
-    }
-
-    nsb, nsc = len(table.b_subsets), len(table.c_subsets)
-    table.entries = np.zeros((nsb, nsc), dtype=bool)
-    if nsb == 0 or nsc == 0:
-        return table
-
-    gs = params.group_size
-    # Column mask per C-subset, stacked so one B-subset tests all of them.
-    words_c = g.bc.words_per_row
-    c_masks = np.zeros((nsc, words_c), dtype=np.uint64)
-    for slot, (grp, offs) in enumerate(table.c_subsets):
-        if offs:
-            members = ic[grp * gs + np.asarray(offs, dtype=np.int64)]
-            c_masks[slot] = pack_index_mask(members, g.nC)
-
-    bw = g.bc.words2d
-    for slot, (grp, offs) in enumerate(table.b_subsets):
-        if not offs:
-            continue
-        members = ib[grp * gs + np.asarray(offs, dtype=np.int64)]
-        or_row = np.bitwise_or.reduce(bw[members], axis=0)
-        table.entries[slot] = (c_masks & or_row).any(axis=1)
+    delta, gs = params.delta, params.group_size
+    members_c = slot_members(len(ic), delta)
+    table = PairTable(params, np.zeros((_side_slots(len(ib), delta), len(members_c)), dtype=bool))
+    offsets = _slot_offsets(delta, min(len(ib), gs))
+    words, shifts = ic >> 6, (ic & 63).astype(np.uint64)
+    for lo in range(0, len(table.entries), len(offsets)):
+        start = lo // len(offsets) * gs
+        group = ib[start : start + gs]
+        # the last row and column stay zero for the -1 padding of unused cells
+        bc = np.zeros((len(group) + 1, len(ic) + 1), dtype=bool)
+        bc[:-1, :-1] = (g.bc.words2d[group][:, words] >> shifts) & 1
+        block = table.entries[lo : lo + len(offsets)]
+        rows = np.logical_or.reduce(bc[offsets[: len(block)]], axis=1)
+        for col in members_c.T:
+            block |= rows[:, col]
     return table
-
-
-def partition_chunks(
-    positions: np.ndarray, group_size: int, cap: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Split sorted view positions into per-group chunks of size <= cap.
-
-    Within each group the positions are cut into consecutive runs of
-    exactly cap plus at most one smaller remainder, which is the minimum
-    possible number of legal table subsets covering them.
-    """
-    chunks = []
-    i = 0
-    n = len(positions)
-    while i < n:
-        group = positions[i] // group_size
-        j = i
-        while j < n and positions[j] // group_size == group:
-            j += 1
-        offs = [int(p - group * group_size) for p in positions[i:j]]
-        for start in range(0, len(offs), cap):
-            chunks.append((int(group), tuple(offs[start : start + cap])))
-        i = j
-    return chunks
 
 
 def sparse_detect(
@@ -239,6 +221,8 @@ def sparse_detect(
 
     The verdict is correct on any input; the degree bound only governs the
     running time.  Set params.check_precondition to verify it anyway.
+    Each A-vertex's chunk pairs are queried in row-major order up to the
+    first hit, and table_queries counts exactly those queries.
     """
     if params.check_precondition:
         bad = check_degree_condition(g, sub, params.delta)
@@ -248,7 +232,7 @@ def sparse_detect(
         table = build_pair_table(g, sub.ib, sub.ic, params)
     stats.sparse_calls += 1
 
-    gs, cap = params.group_size, params.subset_cap
+    delta = params.delta
     ab_w, ac_w = g.ab.words2d, g.ac.words2d
 
     for v in sub.ia:
@@ -259,24 +243,20 @@ def sparse_detect(
         nc_global = unpack_word_indices(ac_w[v] & sub.mask_c)
         if nc_global.size == 0:
             continue
-        pos_b = np.searchsorted(sub.ib, nb_global)
-        pos_c = np.searchsorted(sub.ic, nc_global)
-        chunks_b = partition_chunks(pos_b, gs, cap)
-        chunks_c = partition_chunks(pos_c, gs, cap)
-        keys_c = [(table.encode(grp, offs), grp, offs) for grp, offs in chunks_c]
-        for grp_b, offs_b in chunks_b:
-            key_b = table.encode(grp_b, offs_b)
-            for key_c, grp_c, offs_c in keys_c:
-                stats.table_queries += 1
-                if not table.lookup(key_b, key_c):
-                    continue
-                # A hit names only the chunk pair; rescan the <= cap x cap
-                # block to recover concrete endpoints.
-                for ob in offs_b:
-                    b = int(sub.ib[grp_b * gs + ob])
-                    for oc in offs_c:
-                        c = int(sub.ic[grp_c * gs + oc])
-                        if g.bc.get(b, c):
-                            return Verdict(True, (v, b, c))
-                raise InvariantError("table hit with no edge in the chunk pair")
+        slots_b, bounds_b = chunk_slots(np.searchsorted(sub.ib, nb_global), delta)
+        slots_c, bounds_c = chunk_slots(np.searchsorted(sub.ic, nc_global), delta)
+        hits = table.entries[np.ix_(slots_b, slots_c)].ravel()
+        first = int(hits.argmax())
+        if not hits[first]:
+            stats.table_queries += hits.size
+            continue
+        stats.table_queries += first + 1
+        # A hit names only the chunk pair; rescan the <= delta x delta
+        # block to recover concrete endpoints.
+        kb, kc = divmod(first, len(slots_c))
+        for b in nb_global[bounds_b[kb] : bounds_b[kb + 1]]:
+            for c in nc_global[bounds_c[kc] : bounds_c[kc + 1]]:
+                if g.bc.get(int(b), int(c)):
+                    return Verdict(True, (v, int(b), int(c)))
+        raise InvariantError("table hit with no edge in the chunk pair")
     return Verdict(False)

@@ -239,13 +239,16 @@ def from_general_graph(n: int, edges) -> TripartiteGraph:
     the original graph does.
     """
     g = TripartiteGraph(n, n, n)
-    for u, v in edges:
-        if u == v:
-            continue
-        for x, y in ((u, v), (v, u)):
-            g.ab.set(x, y)
-            g.ac.set(x, y)
-            g.bc.set(x, y)
+    e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    if e.size and (e.min() < 0 or e.max() >= n):
+        raise IndexError(f"edge endpoint out of range for {n} vertices")
+    e = e[e[:, 0] != e[:, 1]]
+    rows = np.concatenate([e[:, 0], e[:, 1]])
+    cols = np.concatenate([e[:, 1], e[:, 0]])
+    bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+    np.bitwise_or.at(g.ab.data, rows * g.ab.words_per_row + (cols >> 6), bits)
+    g.ac.data[:] = g.ab.data
+    g.bc.data[:] = g.ab.data
     return g
 
 

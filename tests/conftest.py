@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 import trimat as tm
@@ -48,3 +50,19 @@ def scalar_triangle_exists(g):
 def assert_witness_valid(g, verdict):
     a, b, c = verdict.witness
     assert g.ab.get(a, b) and g.ac.get(a, c) and g.bc.get(b, c)
+
+
+def subsets_in_slot_order(n, delta):
+    """View positions of every pair-table subset of an n-position side, by slot.
+
+    Groups of delta**3 positions come in order; within a group the subsets
+    of at most delta offsets are ordered largest offset first, which is
+    lexicographic order on the offsets read from the top down.
+    """
+    gs = delta**3
+    out = []
+    for start in range(0, n, gs):
+        glen = min(gs, n - start)
+        subsets = [s for k in range(delta + 1) for s in combinations(range(glen), k)]
+        out.extend(tuple(start + o for o in s) for s in sorted(subsets, key=lambda s: s[::-1]))
+    return out

@@ -13,7 +13,7 @@ import trimat as tm
 from trimat.cli import main as cli_main
 from trimat.four_russians import build_pair_table
 
-from .conftest import assert_witness_valid
+from .conftest import assert_witness_valid, subsets_in_slot_order
 
 DENSITIES = (0.02, 0.1, 0.3, 0.7, 1.0)
 
@@ -157,15 +157,13 @@ def test_c5_pair_table_matches_exhaustive_checking():
         params = tm.SparseParams(delta)
         ib, ic = np.arange(nb), np.arange(nc)
         table = build_pair_table(g, ib, ic, params)
-        gs = params.group_size
-        for sb, (gb, ob) in enumerate(table.b_subsets):
-            for sc, (gc, oc) in enumerate(table.c_subsets):
+        subsets_b = subsets_in_slot_order(nb, delta)
+        subsets_c = subsets_in_slot_order(nc, delta)
+        assert table.entries.shape == (len(subsets_b), len(subsets_c))
+        for sb, ob in enumerate(subsets_b):
+            for sc, oc in enumerate(subsets_c):
                 entries += 1
-                expect = any(
-                    g.bc.get(int(ib[gb * gs + u]), int(ic[gc * gs + w]))
-                    for u in ob
-                    for w in oc
-                )
+                expect = any(g.bc.get(int(ib[u]), int(ic[w])) for u in ob for w in oc)
                 if bool(table.entries[sb, sc]) != expect:
                     mismatches += 1
     _report(

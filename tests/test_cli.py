@@ -1,6 +1,7 @@
 import pytest
 
 import trimat as tm
+from trimat import cli
 from trimat.cli import main
 
 
@@ -163,3 +164,31 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect"])  # missing required --graph
     assert exc.value.code == 2
+
+
+
+@pytest.mark.parametrize("algo", ["sparse", "recursive"])
+def test_table_over_budget_exits_3(tmp_path, capsys, algo):
+    # 60 = 27 + 27 + 6 positions per side: (2*3304 + 42)**2 > 2**25 entries at delta=3
+    path = tmp_path / "g.graph"
+    path.write_text(tm.format_graph_text(tm.random_tripartite(tm.CounterRng(5), 60, 60, 60, 0.01)))
+    code, out, err = run(
+        capsys,
+        ["detect", "--graph", str(path), "--algo", algo, "--delta", "3", "--small-threshold", "8"],
+    )
+    assert code == 3
+    assert out == ""
+    assert "lookup table would need 44222500 entries" in err
+
+
+def test_stats_demo_reports_budget_error_not_violation(tmp_path, capsys, monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise tm.TableBudgetError(10, 1)
+
+    monkeypatch.setattr(cli.detector, "detect", over_budget)
+    path = tmp_path / "tri.graph"
+    path.write_text(SINGLE_TRIANGLE)
+    code, out, err = run(capsys, ["stats-demo", "--graph", str(path)])
+    assert code == 3
+    assert "VIOLATED" not in out
+    assert "lookup table would need 10 entries" in err

@@ -1,30 +1,33 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimat as tm
+from trimat.bitmat import pack_index_mask
 from trimat.four_russians import (
     build_pair_table,
-    encode_subset,
+    chunk_slots,
     estimate_table_entries,
-    partition_chunks,
+    slot_members,
 )
 
-from .conftest import assert_witness_valid, complete_tripartite
+from .conftest import assert_witness_valid, complete_tripartite, subsets_in_slot_order
 
 
 def exhaustive_pair_check(g, ib, ic, table):
     """Every table entry vs a scalar double loop over the two subsets."""
-    gs = table.group_size
+    delta = table.params.delta
+    subsets_b = subsets_in_slot_order(len(ib), delta)
+    subsets_c = subsets_in_slot_order(len(ic), delta)
+    assert table.entries.shape == (len(subsets_b), len(subsets_c))
     mismatches = 0
-    for sb, (gb, ob) in enumerate(table.b_subsets):
-        for sc, (gc, oc) in enumerate(table.c_subsets):
-            expect = any(
-                g.bc.get(int(ib[gb * gs + u]), int(ic[gc * gs + w]))
-                for u in ob
-                for w in oc
-            )
+    for sb, ob in enumerate(subsets_b):
+        for sc, oc in enumerate(subsets_c):
+            expect = any(g.bc.get(int(ib[u]), int(ic[w])) for u in ob for w in oc)
             if bool(table.entries[sb, sc]) != expect:
                 mismatches += 1
     return mismatches
@@ -54,19 +57,19 @@ def test_degree_condition_matches_scalar_scan():
     assert tm.check_degree_condition(g, sub, delta) == expected
 
 
-def test_subset_encoding_is_injective():
-    params = tm.SparseParams(delta=2)
-    gs, cap = params.group_size, params.subset_cap
-    bits = gs.bit_length()
-    seen = {}
-    from itertools import combinations
-
-    for group in range(3):
-        for size in range(cap + 1):
-            for offs in combinations(range(gs), size):
-                key = encode_subset(group, offs, bits, cap, gs)
-                assert key not in seen, (seen[key], (group, offs))
-                seen[key] = (group, offs)
+def test_subset_slots_are_a_bijection():
+    for delta in (1, 2, 3):
+        for glen in range(1, delta**3 + 1):
+            size = sum(comb(glen, k) for k in range(delta + 1))
+            subsets = [s for k in range(1, delta + 1) for s in combinations(range(glen), k)]
+            slots = [int(chunk_slots(np.array(s), delta)[0][0]) for s in subsets]
+            # slot 0 is the empty subset, which no chunk ever is
+            assert sorted(slots) == list(range(1, size)), (delta, glen)
+            members = slot_members(glen, delta)
+            assert len(members) == size
+            assert (members[0] == -1).all()
+            for s, slot in zip(subsets, slots):
+                assert tuple(members[slot][members[slot] >= 0]) == s
 
 
 def test_pair_table_edgeless_and_complete():
@@ -80,8 +83,9 @@ def test_pair_table_edgeless_and_complete():
         for c in range(12):
             dense.bc.set(b, c)
     t2 = build_pair_table(dense, np.arange(12), np.arange(12), params)
-    for sb, (_, ob) in enumerate(t2.b_subsets):
-        for sc, (_, oc) in enumerate(t2.c_subsets):
+    subsets = subsets_in_slot_order(12, params.delta)
+    for sb, ob in enumerate(subsets):
+        for sc, oc in enumerate(subsets):
             assert bool(t2.entries[sb, sc]) == (bool(ob) and bool(oc))
 
 
@@ -109,22 +113,29 @@ def test_pair_table_budget_error():
 )
 def test_chunk_partition_properties(positions, delta):
     positions = np.asarray(sorted(positions), dtype=np.int64)
-    gs, cap = delta**3, delta
-    chunks = partition_chunks(positions, gs, cap)
+    gs, side = delta**3, 81
+    slots, bounds = chunk_slots(positions, delta)
+    members = slot_members(side, delta)
+    assert len(bounds) == len(slots) + 1
+    assert bounds[0] == 0 and bounds[-1] == len(positions)
 
     rebuilt = []
-    for group, offs in chunks:
-        assert 1 <= len(offs) <= cap
-        assert all(0 <= o < gs for o in offs)
-        rebuilt.extend(group * gs + o for o in offs)
+    for k, slot in enumerate(slots):
+        chunk = positions[bounds[k] : bounds[k + 1]]
+        assert 1 <= len(chunk) <= delta
+        assert len(set(chunk // gs)) == 1
+        # the slot decodes to exactly the chunk's positions
+        decoded = members[slot][members[slot] >= 0]
+        assert list(decoded) == list(chunk)
+        rebuilt.extend(int(p) for p in decoded)
     # completeness and disjointness: the chunks are exactly the neighborhood
     assert sorted(rebuilt) == list(positions)
     assert len(rebuilt) == len(set(rebuilt))
 
     if len(positions):
         groups_touched = len({int(p) // gs for p in positions})
-        bound = groups_touched + -(-len(positions) // cap)
-        assert len(chunks) <= bound
+        bound = groups_touched + -(-len(positions) // delta)
+        assert len(slots) <= bound
 
 
 def test_sparse_detect_trivial(single_triangle):
@@ -182,4 +193,61 @@ def test_sparse_detect_is_deterministic():
 def test_delta_below_one_is_clamped():
     params = tm.SparseParams(delta=0)
     assert params.delta == 1
-    assert params.subset_cap == 1
+    assert params.group_size == 1
+
+
+def _pinned_graph(seed, n, density, triangle_free, hub):
+    g = tm.random_tripartite(tm.CounterRng(seed), n, n, n, density)
+    if hub:
+        # A-vertex 0 sees 3/4 of B and of C, with no B-C edge between them,
+        # so it breaks the degree bound at delta >= 2 and detect splits
+        lo, hi = np.arange(3 * n // 4), np.arange(n // 4, n)
+        g.ab.set_row_indices(0, lo)
+        g.ac.set_row_indices(0, hi)
+        g.bc.words2d[lo] &= ~pack_index_mask(hi, n)
+    if triangle_free:
+        g.ac.data &= ~tm.multiply_bitpacked(g.ab, g.bc).data
+    return g
+
+
+# (seed, delta, n, density, triangle_free, hub) ->
+#   sparse_detect (witness, table_queries, sparse_calls),
+#   detect with small_threshold=8 (witness, table_queries, sparse_calls)
+PINNED_COUNTERS = [
+    ((11, 1, 40, 0.05, True, False), (None, 149, 1), (None, 149, 1)),
+    ((12, 1, 50, 0.12, False, False), ((0, 13, 31), 6, 1), ((0, 13, 31), 6, 1)),
+    ((13, 2, 60, 0.06, True, False), (None, 448, 1), (None, 448, 1)),
+    ((14, 3, 36, 0.08, False, False), ((2, 6, 5), 9, 1), ((2, 6, 5), 9, 1)),
+    ((15, 2, 64, 0.1, True, True), (None, 1800, 1), (None, 460, 2)),
+    ((16, 3, 48, 0.05, True, True), (None, 234, 1), (None, 44, 2)),
+    ((17, 2, 64, 0.05, False, True), ((5, 29, 12), 617, 1), ((11, 53, 43), 24, 1)),
+]
+
+
+@pytest.mark.parametrize("case, sparse_expect, detect_expect", PINNED_COUNTERS)
+def test_counters_are_pinned(case, sparse_expect, detect_expect):
+    seed, delta, n, density, triangle_free, hub = case
+    g = _pinned_graph(seed, n, density, triangle_free, hub)
+    assert tm.brute_triangle(g).found == (not triangle_free)
+
+    stats = tm.RunStats()
+    v = tm.sparse_detect(g, g.full_view(), tm.SparseParams(delta), stats)
+    assert (v.witness, stats.table_queries, stats.sparse_calls) == sparse_expect
+
+    stats = tm.RunStats()
+    v = tm.detect(g, tm.DetectorConfig(delta=delta, small_threshold=8), stats)
+    assert (v.witness, stats.table_queries, stats.sparse_calls) == detect_expect
+
+
+def test_large_delta_on_a_small_view():
+    # one short group per side: the table only holds that group's subsets
+    rng = tm.CounterRng(101)
+    g = tm.random_tripartite(rng, 6, 6, 6, 0.5)
+    for delta in (4, 50):
+        stats = tm.RunStats()
+        v = tm.sparse_detect(g, g.full_view(), tm.SparseParams(delta), stats)
+        assert v.found == tm.brute_triangle(g).found
+        table = build_pair_table(g, np.arange(6), np.arange(6), tm.SparseParams(delta))
+        side = sum(comb(6, k) for k in range(min(delta, 6) + 1))
+        assert table.entries.shape == (side, side)
+        assert exhaustive_pair_check(g, np.arange(6), np.arange(6), table) == 0

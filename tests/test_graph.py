@@ -176,3 +176,22 @@ def test_three_copy_construction_preserves_triangles():
         )
         assert tm.detect(g3).found == expect
         assert scalar_triangle_exists(g3) == expect
+
+
+def test_three_copy_construction_matches_per_edge_sets():
+    rng = tm.CounterRng(97)
+    for n in (1, 2, 7, 64, 65, 130):
+        edges = [(rng.next_below(n), rng.next_below(n)) for _ in range(3 * n)]
+        # repeats in both orientations and explicit self-loops
+        edges += [(v, u) for u, v in edges[: n // 2]] + edges[:3] + [(0, 0), (n - 1, n - 1)]
+        expect = tm.TripartiteGraph(n, n, n)
+        for u, v in edges:
+            if u != v:
+                for m in (expect.ab, expect.ac, expect.bc):
+                    m.set(u, v)
+                    m.set(v, u)
+        got = tm.from_general_graph(n, edges)
+        assert (got.ab, got.ac, got.bc) == (expect.ab, expect.ac, expect.bc)
+    assert tm.from_general_graph(3, []).ab.count() == 0
+    with pytest.raises(IndexError):
+        tm.from_general_graph(3, [(0, 3)])
