@@ -66,6 +66,35 @@ class BitMatrix:
         self.words_per_row = words_for(cols)
         self.data = np.zeros(rows * self.words_per_row, dtype=np.uint64)
 
+    # -- the codec: every packing and unpacking of whole rows goes here -------
+
+    @classmethod
+    def from_bits(cls, arr) -> "BitMatrix":
+        """Pack a 2-D array of 0/1 values (any nonzero value counts as 1)."""
+        rows, cols = np.shape(arr)
+        m = cls(rows, cols)
+        m.words2d.view(np.uint8)[:, : (cols + 7) // 8] = np.packbits(
+            arr, axis=1, bitorder="little"
+        )
+        return m
+
+    @classmethod
+    def from_coords(cls, rows: int, cols: int, r, c) -> "BitMatrix":
+        """Matrix with exactly the bits (r[k], c[k]) set; duplicates are idempotent."""
+        r = np.asarray(r, dtype=np.int64)
+        c = np.asarray(c, dtype=np.int64)
+        if r.size and (min(r.min(), c.min()) < 0 or r.max() >= rows or c.max() >= cols):
+            raise IndexError(f"bit coordinate out of range for {rows}x{cols}")
+        m = cls(rows, cols)
+        bits = np.left_shift(np.uint64(1), (c & 63).astype(np.uint64))
+        np.bitwise_or.at(m.data, r * m.words_per_row + (c >> 6), bits)
+        return m
+
+    def bits(self, rows=slice(None)) -> np.ndarray:
+        """The given rows (a slice or an index array) unpacked to 0/1 uint8."""
+        words = self.words2d[rows].view(np.uint8)
+        return np.unpackbits(words, axis=1, count=self.cols, bitorder="little")
+
     # -- single-bit access ------------------------------------------------
 
     def _check(self, i: int, j: int) -> None:
@@ -99,16 +128,6 @@ class BitMatrix:
         """Sorted column indices of set bits in row i."""
         return unpack_word_indices(self.row_words(i))
 
-    def row_popcount(self, i: int) -> int:
-        return popcount_words(self.row_words(i))
-
-    def set_row_indices(self, i: int, indices) -> None:
-        """Overwrite row i so exactly the given columns are set."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.cols):
-            raise IndexError("row index out of range")
-        self.words2d[i] = pack_index_mask(idx, self.cols)
-
     # -- whole-matrix helpers ----------------------------------------------
 
     def copy(self) -> "BitMatrix":
@@ -129,20 +148,7 @@ class BitMatrix:
         """Copy of the sub-matrix rows [r0,r1) x cols [c0,c1)."""
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise IndexError("block out of range")
-        out = BitMatrix(r1 - r0, c1 - c0)
-        width = c1 - c0
-        if width == 0:
-            return out
-        keep = (1 << width) - 1
-        wpr = self.words_per_row
-        obytes = out.words_per_row * 8
-        for oi, i in enumerate(range(r0, r1)):
-            row = int.from_bytes(self.data[i * wpr : (i + 1) * wpr].tobytes(), "little")
-            piece = (row >> c0) & keep
-            out.words2d[oi] = np.frombuffer(
-                piece.to_bytes(obytes, "little"), dtype=np.uint64
-            )
-        return out
+        return BitMatrix.from_bits(self.bits(slice(r0, r1))[:, c0:c1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
@@ -171,10 +177,7 @@ def _row_mask(cols: int) -> np.ndarray:
 
 
 def identity(n: int) -> BitMatrix:
-    m = BitMatrix(n, n)
-    for i in range(n):
-        m.set(i, i)
-    return m
+    return BitMatrix.from_coords(n, n, np.arange(n), np.arange(n))
 
 
 def rows_intersect(m: BitMatrix, i: int, m2: BitMatrix, k: int) -> bool:
@@ -220,21 +223,21 @@ def parse_matrix_text(text: str) -> BitMatrix:
         raise FormatError(1, "dimensions must be non-negative")
     if len(lines) < rows + 1:
         raise FormatError(len(lines) + 1, f"expected {rows} data rows, found {len(lines) - 1}")
-    m = BitMatrix(rows, cols)
-    for i in range(rows):
-        line = lines[i + 1]
-        if len(line) != cols:
-            raise FormatError(i + 2, f"expected {cols} characters, got {len(line)}")
-        vals = np.frombuffer(line.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
-        if vals.size and vals.max(initial=0) > 1:
-            raise FormatError(i + 2, "row contains characters other than 0/1")
-        m.words2d[i] = pack_index_mask(np.flatnonzero(vals), cols)
-    return m
+    body = lines[1 : rows + 1]
+    # the rows before the first ragged one are checked for characters first,
+    # so the error names the first offending line of either kind
+    ragged = next((i for i, line in enumerate(body) if len(line) != cols), rows)
+    chars = "".join(body[:ragged]).encode("ascii", "replace")
+    vals = np.frombuffer(chars, dtype=np.uint8) - ord("0")
+    bad = np.flatnonzero(vals > 1)
+    if bad.size:
+        raise FormatError(int(bad[0]) // cols + 2, "row contains characters other than 0/1")
+    if ragged < rows:
+        raise FormatError(ragged + 2, f"expected {cols} characters, got {len(body[ragged])}")
+    return BitMatrix.from_bits(vals.reshape(rows, cols))
 
 
 def format_matrix_text(m: BitMatrix) -> str:
-    out = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        bits = np.unpackbits(m.row_words(i).view(np.uint8), bitorder="little")[: m.cols]
-        out.append("".join("1" if v else "0" for v in bits))
-    return "\n".join(out) + "\n"
+    body = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
+    body[:, :-1] = m.bits() + ord("0")
+    return f"{m.rows} {m.cols}\n" + body.tobytes().decode("ascii")

@@ -1,7 +1,8 @@
 """Command-line harness: detect, multiply, verify, bench, stats-demo.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse errors,
-3 resource limits (a pair table over its entry budget).
+3 resource limits (a pair table over its entry budget, or an allocation
+that fails with MemoryError).
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ class UsageError(Exception):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len(data[: exc.start + 1].decode("ascii", "replace").splitlines())
+        raise FormatError(line, f"non-ASCII byte {data[exc.start]:#04x}") from None
 
 
 def _run_detect_algo(algo: str, g: TripartiteGraph, delta: int,
@@ -247,8 +253,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TableBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TableBudgetError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except TrimatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,13 +50,12 @@ class DetectorConfig:
     instance is solved exhaustively; it is exposed because at sensible
     delta values the default is tiny and tests need to force each path.
     debug_charge_check turns on the pair-charging ledger (quadratic
-    memory, test scale only).
+    memory, test scale only; skipped above DEFAULT_CHARGE_BUDGET pairs).
     """
 
     delta: int = 2
     small_threshold: int | None = None
     debug_charge_check: bool = False
-    charge_budget: int = DEFAULT_CHARGE_BUDGET
     max_table_entries: int = fr.DEFAULT_TABLE_BUDGET
 
     def __post_init__(self):
@@ -128,7 +127,7 @@ def detect(
     stats = stats if stats is not None else RunStats()
     small = cfg.small_threshold
     ledger = None
-    if cfg.debug_charge_check and g.nB * g.nC <= cfg.charge_budget:
+    if cfg.debug_charge_check and g.nB * g.nC <= DEFAULT_CHARGE_BUDGET:
         ledger = ChargeLedger(g.nB, g.nC)
 
     def leaf(sub: SubInstance) -> Verdict | None:

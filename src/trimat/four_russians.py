@@ -196,13 +196,12 @@ def build_pair_table(
     members_c = slot_members(len(ic), delta)
     table = PairTable(params, np.zeros((_side_slots(len(ib), delta), len(members_c)), dtype=bool))
     offsets = _slot_offsets(delta, min(len(ib), gs))
-    words, shifts = ic >> 6, (ic & 63).astype(np.uint64)
     for lo in range(0, len(table.entries), len(offsets)):
         start = lo // len(offsets) * gs
         group = ib[start : start + gs]
         # the last row and column stay zero for the -1 padding of unused cells
         bc = np.zeros((len(group) + 1, len(ic) + 1), dtype=bool)
-        bc[:-1, :-1] = (g.bc.words2d[group][:, words] >> shifts) & 1
+        bc[:-1, :-1] = g.bc.bits(group)[:, ic]
         block = table.entries[lo : lo + len(offsets)]
         rows = np.logical_or.reduce(bc[offsets[: len(block)]], axis=1)
         for col in members_c.T:

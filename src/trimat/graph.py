@@ -9,6 +9,7 @@ detectors only ever creates views; adjacency is never copied.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,25 +76,6 @@ class TripartiteGraph:
             if m.rows != r or m.cols != c:
                 raise ValueError(f"{name} adjacency must be {r}x{c}, got {m.rows}x{m.cols}")
 
-    def add_edge(self, pair: str, i: int, j: int) -> None:
-        if pair == PAIR_AB:
-            self.ab.set(i, j)
-        elif pair == PAIR_AC:
-            self.ac.set(i, j)
-        elif pair == PAIR_BC:
-            self.bc.set(i, j)
-        else:
-            raise ValueError(f"unknown part pair {pair!r}")
-
-    def has_edge(self, pair: str, i: int, j: int) -> bool:
-        if pair == PAIR_AB:
-            return self.ab.get(i, j)
-        if pair == PAIR_AC:
-            return self.ac.get(i, j)
-        if pair == PAIR_BC:
-            return self.bc.get(i, j)
-        raise ValueError(f"unknown part pair {pair!r}")
-
     def full_view(self) -> "SubInstance":
         return SubInstance(
             self,
@@ -104,19 +86,29 @@ class TripartiteGraph:
 
 
 def from_edge_list(nA: int, nB: int, nC: int, edges) -> TripartiteGraph:
-    """Build a graph from (pair, i, j) triples; duplicates are idempotent."""
-    g = TripartiteGraph(nA, nB, nC)
+    """Build a graph from (pair, i, j) triples; duplicates are idempotent.
+
+    The matrices are allocated only after the last edge is read, so a
+    generator that validates its input rejects it before any allocation.
+    """
+    coords = {pair: (array("q"), array("q")) for pair in (PAIR_AB, PAIR_AC, PAIR_BC)}
     for pair, i, j in edges:
-        g.add_edge(pair, i, j)  # add_edge range-checks endpoints
-    return g
+        if pair not in coords:
+            raise ValueError(f"unknown part pair {pair!r}")
+        r, c = coords[pair]
+        r.append(i)
+        c.append(j)
+    ab = BitMatrix.from_coords(nA, nB, *coords[PAIR_AB])
+    ac = BitMatrix.from_coords(nA, nC, *coords[PAIR_AC])
+    bc = BitMatrix.from_coords(nB, nC, *coords[PAIR_BC])
+    return TripartiteGraph(nA, nB, nC, ab, ac, bc)
 
 
 class SubInstance:
     """A view of a TripartiteGraph through three sorted index lists.
 
     Word masks for the B and C parts are built on first use and cached;
-    share views across threads only after touching both masks (or build
-    eagerly with materialize_masks).
+    share views across threads only after touching both masks.
     """
 
     __slots__ = ("g", "ia", "ib", "ic", "_mask_b", "_mask_c")
@@ -155,10 +147,6 @@ class SubInstance:
         if self._mask_c is None:
             self._mask_c = pack_index_mask(self.ic, self.g.nC)
         return self._mask_c
-
-    def materialize_masks(self) -> None:
-        self.mask_b
-        self.mask_c
 
     def part_indices(self, part: str) -> np.ndarray:
         if part == PART_B:
@@ -238,18 +226,15 @@ def from_general_graph(n: int, edges) -> TripartiteGraph:
     the A-B / A-C / B-C roles), so the tripartite graph has a triangle iff
     the original graph does.
     """
-    g = TripartiteGraph(n, n, n)
     e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    # checked before self-loops are dropped, so a bad self-loop is still an error
     if e.size and (e.min() < 0 or e.max() >= n):
         raise IndexError(f"edge endpoint out of range for {n} vertices")
     e = e[e[:, 0] != e[:, 1]]
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
-    np.bitwise_or.at(g.ab.data, rows * g.ab.words_per_row + (cols >> 6), bits)
-    g.ac.data[:] = g.ab.data
-    g.bc.data[:] = g.ab.data
-    return g
+    ab = BitMatrix.from_coords(
+        n, n, np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    )
+    return TripartiteGraph(n, n, n, ab, ab.copy(), ab.copy())
 
 
 # -- graph text formats ---------------------------------------------------
@@ -279,19 +264,22 @@ def parse_graph_text(text: str) -> TripartiteGraph:
         raise FormatError(no, f"non-integer part size in {raw!r}") from None
     if min(na, nb, nc) < 0:
         raise FormatError(no, "part sizes must be non-negative")
-    g = TripartiteGraph(na, nb, nc)
-    for no, raw, parts in lines:
-        if len(parts) != 3 or parts[0] not in (PAIR_AB, PAIR_AC, PAIR_BC):
-            raise FormatError(no, f"expected 'P i j' with P in {{AB,AC,BC}}, got {raw!r}")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError(no, f"non-integer endpoint in {raw!r}") from None
-        try:
-            g.add_edge(parts[0], i, j)
-        except IndexError:
-            raise FormatError(no, f"endpoint out of range in {raw!r}") from None
-    return g
+    shapes = {PAIR_AB: (na, nb), PAIR_AC: (na, nc), PAIR_BC: (nb, nc)}
+
+    def edges():
+        for no, raw, parts in lines:
+            if len(parts) != 3 or parts[0] not in shapes:
+                raise FormatError(no, f"expected 'P i j' with P in {{AB,AC,BC}}, got {raw!r}")
+            try:
+                i, j = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise FormatError(no, f"non-integer endpoint in {raw!r}") from None
+            rows, cols = shapes[parts[0]]
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise FormatError(no, f"endpoint out of range in {raw!r}")
+            yield parts[0], i, j
+
+    return from_edge_list(na, nb, nc, edges())
 
 
 def parse_general_graph_text(text: str) -> TripartiteGraph:
@@ -326,7 +314,6 @@ def parse_general_graph_text(text: str) -> TripartiteGraph:
 def format_graph_text(g: TripartiteGraph) -> str:
     out = [f"{g.nA} {g.nB} {g.nC}"]
     for pair, m in ((PAIR_AB, g.ab), (PAIR_AC, g.ac), (PAIR_BC, g.bc)):
-        for i in range(m.rows):
-            for j in m.row_indices(i):
-                out.append(f"{pair} {i} {j}")
+        rows, cols = np.nonzero(m.bits())
+        out += [f"{pair} {i} {j}" for i, j in zip(rows.tolist(), cols.tolist())]
     return "\n".join(out) + "\n"

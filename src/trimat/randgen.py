@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitmat import BitMatrix, words_for
+from .bitmat import BitMatrix
 from .graph import TripartiteGraph
 
 _MASK = (1 << 64) - 1
@@ -68,22 +68,16 @@ def _density_threshold(density: float) -> int:
 
 def random_bitmatrix(rng: CounterRng, rows: int, cols: int, density: float) -> BitMatrix:
     """Random matrix: bit (i,j) drawn at stream position cursor + i*cols + j."""
-    m = BitMatrix(rows, cols)
     if rows == 0 or cols == 0:
-        return m
+        return BitMatrix(rows, cols)
     thr = _density_threshold(density)
     if thr == 0:
         rng.cursor += rows * cols
-        return m
-    vals = rng.next_block(rows * cols)
-    bits = (vals < np.uint64(min(thr, _MASK))).astype(np.uint8)
+        return BitMatrix(rows, cols)
+    bits = rng.next_block(rows * cols) < np.uint64(min(thr, _MASK))
     if thr > _MASK:
-        bits[:] = 1
-    bits = bits.reshape(rows, cols)
-    padded = np.zeros((rows, words_for(cols) * 64), dtype=np.uint8)
-    padded[:, :cols] = bits
-    m.data[:] = np.packbits(padded, axis=1, bitorder="little").view(np.uint64).ravel()
-    return m
+        bits[:] = True
+    return BitMatrix.from_bits(bits.reshape(rows, cols))
 
 
 def random_tripartite(

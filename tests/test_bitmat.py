@@ -166,3 +166,118 @@ def test_matrix_text_rejects_ragged_and_junk():
         tm.parse_matrix_text("")
     with pytest.raises(tm.FormatError):
         tm.parse_matrix_text("2\n00\n00\n")
+
+
+# -- the codec against the per-bit, per-row and big-int code it replaced ----
+
+
+def _format_reference(m):
+    out = [f"{m.rows} {m.cols}"]
+    for i in range(m.rows):
+        out.append("".join("1" if m.get(i, j) else "0" for j in range(m.cols)))
+    return "\n".join(out) + "\n"
+
+
+def _parse_reference(text):
+    """Row-by-row parser: header checks elided, rows checked in file order."""
+    lines = text.splitlines()
+    rows, cols = (int(x) for x in lines[0].split())
+    m = tm.BitMatrix(rows, cols)
+    for i in range(rows):
+        line = lines[i + 1]
+        if len(line) != cols:
+            raise tm.FormatError(i + 2, f"expected {cols} characters, got {len(line)}")
+        if set(line) - {"0", "1"}:
+            raise tm.FormatError(i + 2, "row contains characters other than 0/1")
+        for j, ch in enumerate(line):
+            if ch == "1":
+                m.set(i, j)
+    return m
+
+
+def _block_reference(m, r0, r1, c0, c1):
+    """Row-at-a-time block extraction through Python big integers."""
+    out = tm.BitMatrix(r1 - r0, c1 - c0)
+    keep = (1 << (c1 - c0)) - 1
+    for oi, i in enumerate(range(r0, r1)):
+        row = int.from_bytes(m.row_words(i).tobytes(), "little")
+        piece = (row >> c0) & keep
+        out.words2d[oi] = np.frombuffer(
+            piece.to_bytes(out.words_per_row * 8, "little"), dtype=np.uint64
+        )
+    return out
+
+
+def _random_bits(seed, rows, cols):
+    vals = tm.CounterRng(seed).next_block(rows * cols)
+    return (vals % np.uint64(3) == 0).astype(np.uint8).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+@pytest.mark.parametrize("cols", [0, 1, 63, 64, 65, 130])
+def test_codec_matches_per_bit_references(rows, cols):
+    arr = _random_bits(rows * 1000 + cols, rows, cols)
+    expect = tm.BitMatrix(rows, cols)
+    for i, j in zip(*np.nonzero(arr)):
+        expect.set(int(i), int(j))
+
+    m = tm.BitMatrix.from_bits(arr)
+    assert m == expect and m.pad_bits_zero()
+    assert tm.BitMatrix.from_bits(arr.astype(bool)) == expect
+    assert tm.BitMatrix.from_coords(rows, cols, *np.nonzero(arr)) == expect
+    assert m.bits().dtype == np.uint8
+    assert np.array_equal(m.bits(), arr)
+    picks = np.array([rows - 1, 0, rows - 1], dtype=np.int64) if rows else np.zeros(0, np.int64)
+    assert np.array_equal(m.bits(picks), arr[picks])
+    assert np.array_equal(m.bits(slice(1, rows)), arr[1:])
+
+    text = tm.format_matrix_text(m)
+    assert text == _format_reference(expect)
+    assert tm.parse_matrix_text(text) == _parse_reference(text) == expect
+
+
+def test_block_matches_big_int_reference_across_word_boundaries():
+    m = tm.BitMatrix.from_bits(_random_bits(5, 7, 200))
+    for r0, r1, c0, c1 in [
+        (0, 7, 0, 200), (0, 7, 1, 200), (1, 6, 63, 65), (2, 5, 60, 130),
+        (0, 7, 64, 128), (3, 4, 127, 193), (0, 7, 5, 5), (4, 4, 0, 200),
+        (0, 1, 199, 200), (6, 7, 0, 1), (0, 7, 1, 66),
+    ]:
+        blk = m.block(r0, r1, c0, c1)
+        assert blk == _block_reference(m, r0, r1, c0, c1)
+        assert blk.pad_bits_zero()
+    with pytest.raises(IndexError):
+        m.block(0, 8, 0, 1)
+    with pytest.raises(IndexError):
+        m.block(0, 1, 5, 4)
+
+
+def test_from_coords_with_duplicates_and_bad_coordinates():
+    r = [0, 2, 2, 0, 1, 2, 2]
+    c = [64, 5, 5, 64, 129, 0, 5]
+    expect = tm.BitMatrix(3, 130)
+    for i, j in zip(r, c):
+        expect.set(i, j)
+    got = tm.BitMatrix.from_coords(3, 130, r, c)
+    assert got == expect and got.count() == 4
+    assert tm.BitMatrix.from_coords(3, 130, [], []) == tm.BitMatrix(3, 130)
+    for bad_r, bad_c in (([3], [0]), ([0], [130]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(IndexError):
+            tm.BitMatrix.from_coords(3, 130, bad_r, bad_c)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a bad character on line 3 comes before a short row on line 5
+        ("4 3\n010\n0x1\n111\n01\n", 3),
+        ("4 3\n010\n01\n1x1\n011\n", 3),
+        ("3 2\n01\n10\n1\n", 4),
+        ("2 2\n01\n2\n", 3),
+    ],
+)
+def test_matrix_text_names_first_offending_line(text, line):
+    for parse in (tm.parse_matrix_text, _parse_reference):
+        with pytest.raises(tm.FormatError) as err:
+            parse(text)
+        assert err.value.line_no == line

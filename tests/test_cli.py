@@ -154,6 +154,42 @@ def test_general_graph_error_names_line_and_exits_2(tmp_path, capsys, text, line
     assert line in err
 
 
+@pytest.mark.parametrize(
+    "command, data, line",
+    [
+        # headers too large to allocate: refused at the first bad line, before any allocation
+        ("detect", b"10000000000 1 1\nAB 0 5\n", "line 2"),
+        ("multiply", b"1 10000000000000\n0\n", "line 2"),
+        ("detect", b"1 1 1\nAB 0 0\n# caf\xc3\xa9\n", "line 3"),
+        ("multiply", b"1 2\n0\xff\n", "line 2"),
+    ],
+)
+def test_bad_input_names_line_and_exits_2(tmp_path, capsys, command, data, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    if command == "detect":
+        argv = ["detect", "--graph", str(path)]
+    else:
+        argv = ["multiply", "--a", str(path), "--b", str(path), "--out", str(tmp_path / "c")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert line in err
+
+
+def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def out_of_memory(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_graph_text", out_of_memory)
+    path = tmp_path / "tri.graph"
+    path.write_text(SINGLE_TRIANGLE)
+    code, out, err = run(capsys, ["detect", "--graph", str(path)])
+    assert code == 3
+    assert out == ""
+    assert "out of memory" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["detect", "--graph", "/nonexistent/x.graph"])
     assert code == 2

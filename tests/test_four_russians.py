@@ -202,8 +202,8 @@ def _pinned_graph(seed, n, density, triangle_free, hub):
         # A-vertex 0 sees 3/4 of B and of C, with no B-C edge between them,
         # so it breaks the degree bound at delta >= 2 and detect splits
         lo, hi = np.arange(3 * n // 4), np.arange(n // 4, n)
-        g.ab.set_row_indices(0, lo)
-        g.ac.set_row_indices(0, hi)
+        g.ab.words2d[0] = pack_index_mask(lo, n)
+        g.ac.words2d[0] = pack_index_mask(hi, n)
         g.bc.words2d[lo] &= ~pack_index_mask(hi, n)
     if triangle_free:
         g.ac.data &= ~tm.multiply_bitpacked(g.ab, g.bc).data

@@ -195,3 +195,58 @@ def test_three_copy_construction_matches_per_edge_sets():
     assert tm.from_general_graph(3, []).ab.count() == 0
     with pytest.raises(IndexError):
         tm.from_general_graph(3, [(0, 3)])
+
+
+# -- edge-list building and the graph text format against per-edge code ----
+
+
+def _edge_list_reference(na, nb, nc, edges):
+    """One range-checked BitMatrix.set per edge."""
+    g = tm.TripartiteGraph(na, nb, nc)
+    for pair, i, j in edges:
+        getattr(g, pair.lower()).set(i, j)
+    return g
+
+
+def _format_reference(g):
+    out = [f"{g.nA} {g.nB} {g.nC}"]
+    for pair, m in (("AB", g.ab), ("AC", g.ac), ("BC", g.bc)):
+        for i in range(m.rows):
+            for j in range(m.cols):
+                if m.get(i, j):
+                    out.append(f"{pair} {i} {j}")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("sizes", [(0, 1, 7), (1, 1, 1), (7, 63, 64), (65, 130, 1), (64, 0, 65)])
+def test_edge_list_and_text_match_per_edge_references(sizes):
+    na, nb, nc = sizes
+    rng = tm.CounterRng(sum(sizes))
+    shapes = {"AB": (na, nb), "AC": (na, nc), "BC": (nb, nc)}
+    edges = [
+        (pair, rng.next_below(r), rng.next_below(c))
+        for pair, (r, c) in shapes.items()
+        if r and c
+        for _ in range(r + c)
+    ]
+    edges += edges[:5]  # duplicates
+    expect = _edge_list_reference(na, nb, nc, edges)
+    got = tm.from_edge_list(na, nb, nc, iter(edges))
+    assert (got.ab, got.ac, got.bc) == (expect.ab, expect.ac, expect.bc)
+
+    text = tm.format_graph_text(got)
+    assert text == _format_reference(expect)
+    again = tm.parse_graph_text(text)
+    assert (again.ab, again.ac, again.bc) == (expect.ab, expect.ac, expect.bc)
+
+
+def test_graph_text_names_first_offending_line():
+    for text, line in [
+        ("2 2 2\nAB 0 0\nAB 0 x\nAB 9 9\n", 3),
+        ("2 2 2\nAB 0 0\n\nBC 2 0\nXY 0 0\n", 4),
+        ("2 2 2\nAC 1 1\nAC 1 -1\n", 3),
+        ("10000000000 1 1\nAB 0 0\nAB 0 5\n", 3),
+    ]:
+        with pytest.raises(tm.FormatError) as err:
+            tm.parse_graph_text(text)
+        assert err.value.line_no == line
