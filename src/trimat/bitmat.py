@@ -25,6 +25,11 @@ def words_for(nbits: int) -> int:
     return (nbits + WORD_BITS - 1) // WORD_BITS
 
 
+def indexable(rows: int, cols: int) -> bool:
+    """True iff numpy can index a rows x cols matrix: sides and word buffer fit np.intp."""
+    return max(rows, cols, rows * words_for(cols) * WORD_BITS // 8) <= np.iinfo(np.intp).max
+
+
 def pack_index_mask(indices, nbits: int) -> np.ndarray:
     """Pack a list of bit positions < nbits into a uint64 word array."""
     nwords = words_for(nbits)
@@ -187,21 +192,45 @@ def rows_intersect(m: BitMatrix, i: int, m2: BitMatrix, k: int) -> bool:
     return bool(np.any(m.row_words(i) & m2.row_words(k)))
 
 
-def multiply_bitpacked(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Boolean product out[i][j] = OR_k a[i][k] & b[k][j].
+_SLAB = 8  # rows of b per table; fixed, because one byte of a's packed row indexes it
+_SLABS_PER_BATCH = 8  # tables built together: 256 * 8 table rows of b's width at a time
 
-    Each output row is the OR of the rows of b selected by the set bits of
-    the corresponding row of a, so the inner loop runs word-parallel.
+
+def multiply_bitpacked(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Boolean product out[i][j] = OR_k a[i][k] & b[k][j] by the Method of Four Russians.
+
+    This is M4RM, the byte-table method of Arlazarov, Dinic, Kronrod and
+    Faradzev (1970) as used in M4RI (Albrecht, Bard and Hart, "Algorithm
+    898: Efficient multiplication of dense matrices over GF(2)", ACM TOMS
+    2010), run over the OR semiring.  b is cut into slabs of 8 rows, the last
+    one padded with zero rows.  Each slab gets a table of all 256 ORs of its
+    rows, built by doubling, so entry x is the OR of the rows named by the
+    bits of x.  Byte s of a packed row of a is then exactly the index into
+    slab s's table, and one gather per slab ORs the right table row into
+    every output row at once.  Tables are built a batch of slabs at a time.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     out = BitMatrix(a.rows, b.cols)
+    wpr = b.words_per_row
     bw = b.words2d
+    if b.rows % _SLAB:
+        bw = np.concatenate([bw, np.zeros((-b.rows % _SLAB, wpr), dtype=np.uint64)])
+    nslabs = len(bw) // _SLAB
+    slabs = bw.reshape(nslabs, _SLAB, wpr)
+    a_bytes = a.words2d.view(np.uint8)
     ow = out.words2d
-    for i in range(a.rows):
-        idx = a.row_indices(i)
-        if idx.size:
-            ow[i] = np.bitwise_or.reduce(bw[idx], axis=0)
+    tables = np.empty((_SLABS_PER_BATCH, 1 << _SLAB, wpr), dtype=np.uint64)
+    tables[:, 0] = 0
+    for s0 in range(0, nslabs, _SLABS_PER_BATCH):
+        batch = tables[: min(_SLABS_PER_BATCH, nslabs - s0)]
+        for k in range(_SLAB):
+            np.bitwise_or(
+                batch[:, : 1 << k], slabs[s0 : s0 + len(batch), k, None],
+                out=batch[:, 1 << k : 2 << k],
+            )
+        for s, table in enumerate(batch, start=s0):
+            ow |= table[a_bytes[:, s]]
     return out
 
 

@@ -256,7 +256,8 @@ def exhaustive_search(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> 
     """Triple loop over the view with early exit.
 
     The loop itself is word-assisted (each (a, b) edge pair is resolved
-    with one AND over C-masked rows), but the triples_enumerated counter
+    with one AND over C-masked rows, and an A-vertex with no C-neighbour in
+    the view is skipped whole), but the triples_enumerated counter
     follows triple-loop semantics: the full view volume when triangle-free,
     the inspected prefix when a triangle cuts the scan short.
     """
@@ -265,11 +266,11 @@ def exhaustive_search(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> 
         return Verdict(False)
     ab_w, ac_w, bc_w = g.ab.words2d, g.ac.words2d, g.bc.words2d
     mask_b, mask_c = sub.mask_b, sub.mask_c
-    for apos, a in enumerate(sub.ia):
-        a = int(a)
+    for apos, a in enumerate(sub.ia.tolist()):
         ac_row = ac_w[a] & mask_c
-        for b in unpack_word_indices(ab_w[a] & mask_b):
-            b = int(b)
+        if not np.count_nonzero(ac_row):
+            continue
+        for b in unpack_word_indices(ab_w[a] & mask_b).tolist():
             c = first_set_bit(ac_row & bc_w[b])
             if c >= 0:
                 bpos = int(np.searchsorted(sub.ib, b))

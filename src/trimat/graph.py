@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bitmat import BitMatrix, pack_index_mask, popcount_words, unpack_word_indices
+from .bitmat import BitMatrix, indexable, pack_index_mask, popcount_words, unpack_word_indices
 from .errors import FormatError
 
 PAIR_AB = "AB"
@@ -265,6 +265,8 @@ def parse_graph_text(text: str) -> TripartiteGraph:
     if min(na, nb, nc) < 0:
         raise FormatError(no, "part sizes must be non-negative")
     shapes = {PAIR_AB: (na, nb), PAIR_AC: (na, nc), PAIR_BC: (nb, nc)}
+    if not all(indexable(*shape) for shape in shapes.values()):
+        raise FormatError(no, f"part sizes too large to index in {raw!r}")
 
     def edges():
         for no, raw, parts in lines:
@@ -297,6 +299,8 @@ def parse_general_graph_text(text: str) -> TripartiteGraph:
         raise FormatError(no, f"non-integer vertex count {raw!r}") from None
     if n < 0:
         raise FormatError(no, "vertex count must be non-negative")
+    if not indexable(n, n):
+        raise FormatError(no, f"vertex count too large to index in {raw!r}")
     edges = []
     for no, raw, parts in lines:
         if len(parts) != 2:

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bitmat import BitMatrix, first_set_bit, multiply_bitpacked, rows_intersect
+import numpy as np
+
+from .bitmat import BitMatrix, first_set_bit, multiply_bitpacked
 from .detector import DetectorConfig, detect
 from .graph import RunStats, TripartiteGraph, Verdict
 
@@ -108,13 +110,13 @@ def bmm_via_triangle(
 def triangle_via_bmm(g: TripartiteGraph) -> Verdict:
     """Folklore converse: a triangle exists iff (ab (.) bc) meets ac."""
     paths = multiply_bitpacked(g.ab, g.bc)
-    for a in range(g.nA):
-        if not rows_intersect(paths, a, g.ac, a):
-            continue
-        hits = paths.row_words(a) & g.ac.row_words(a)
-        c = first_set_bit(hits)
-        for b in g.ab.row_indices(a):
-            if g.bc.get(int(b), c):
-                return Verdict(True, (a, int(b), c))
-        raise AssertionError("product bit with no middle vertex")
-    return Verdict(False)
+    hits = paths.words2d & g.ac.words2d
+    rows = np.flatnonzero(hits.any(axis=1))
+    if rows.size == 0:
+        return Verdict(False)
+    a = int(rows[0])
+    c = first_set_bit(hits[a])
+    for b in g.ab.row_indices(a):
+        if g.bc.get(int(b), c):
+            return Verdict(True, (a, int(b), c))
+    raise AssertionError("product bit with no middle vertex")

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimat as tm
-from trimat.bitmat import first_set_bit, pack_index_mask, unpack_word_indices
+from trimat.bitmat import first_set_bit, indexable, pack_index_mask, unpack_word_indices
 
 from .conftest import matrix_from_strings
 
@@ -126,6 +128,15 @@ def test_pad_bits_stay_zero(cols, ops):
     for i, j, v in ops:
         m.set(i, j % cols, v)
     assert m.pad_bits_zero()
+
+
+def test_indexable_bounds_sides_and_word_buffer():
+    top = np.iinfo(np.intp).max
+    assert indexable(top, 0) and indexable(0, top)
+    assert not indexable(top + 1, 0) and not indexable(0, top + 1)
+    # 8 bytes per 64-column word
+    assert indexable(2**60 - 1, 64) and not indexable(2**60, 64)
+    assert indexable(2**57, 7 * 64) and not indexable(2**57, 7 * 64 + 1)
 
 
 def test_pack_unpack_helpers():
@@ -281,3 +292,53 @@ def test_matrix_text_names_first_offending_line(text, line):
         with pytest.raises(tm.FormatError) as err:
             parse(text)
         assert err.value.line_no == line
+
+
+# -- the M4RM kernel against the per-row gather-OR kernel it replaced ------
+
+
+def _multiply_gather_reference(a, b):
+    """Each output row is the OR of the rows of b picked by the bits of a's row."""
+    out = tm.BitMatrix(a.rows, b.cols)
+    bw, ow = b.words2d, out.words2d
+    for i in range(a.rows):
+        idx = a.row_indices(i)
+        if idx.size:
+            ow[i] = np.bitwise_or.reduce(bw[idx], axis=0)
+    return out
+
+
+KERNEL_SIZES = [0, 1, 7, 8, 9, 63, 64, 65, 130]
+# every size as rows and as cols: skewed pairs, then square ones
+KERNEL_SHAPES = list(zip(KERNEL_SIZES, reversed(KERNEL_SIZES))) + [(s, s) for s in KERNEL_SIZES]
+
+
+@pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("inner", KERNEL_SIZES)
+def test_m4rm_matches_gather_reference_and_scalar_oracle(inner, density):
+    rng = tm.CounterRng(inner * 10 + int(density * 2))
+    for rows, cols in KERNEL_SHAPES:
+        a = tm.random_bitmatrix(rng, rows, inner, density)
+        b = tm.random_bitmatrix(rng, inner, cols, density)
+        out = tm.multiply_bitpacked(a, b)
+        assert out.pad_bits_zero()
+        assert (out.rows, out.cols) == (rows, cols)
+        assert out == _multiply_gather_reference(a, b)
+        # the scalar oracle's full triple loop is only affordable on the small ones
+        if rows * cols * inner <= 1 << 16:
+            assert out == tm.multiply_scalar_oracle(a, b)
+
+
+def test_m4rm_extra_memory_stays_bounded():
+    rng = tm.CounterRng(5)
+    a = tm.random_bitmatrix(rng, 2048, 2048, 0.5)
+    b = tm.random_bitmatrix(rng, 2048, 2048, 0.5)
+    tracemalloc.start()
+    try:
+        tm.multiply_bitpacked(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, one gathered temporary and a batch of 8 tables take 0.5 MiB
+    # each; the tables of all 256 slabs at once would take 16 MiB
+    assert peak < 4 << 20

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import trimat as tm
@@ -162,13 +166,16 @@ def test_general_graph_error_names_line_and_exits_2(tmp_path, capsys, text, line
         ("multiply", b"1 10000000000000\n0\n", "line 2"),
         ("detect", b"1 1 1\nAB 0 0\n# caf\xc3\xa9\n", "line 3"),
         ("multiply", b"1 2\n0\xff\n", "line 2"),
+        # headers whose matrices numpy cannot even index: refused at the header
+        ("detect", b"99999999999999999999 1 1\nAB 0 0\n", "line 1"),
+        ("detect --general", b"99999999999999999999\n0 1\n", "line 1"),
     ],
 )
 def test_bad_input_names_line_and_exits_2(tmp_path, capsys, command, data, line):
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
-    if command == "detect":
-        argv = ["detect", "--graph", str(path)]
+    if command.startswith("detect"):
+        argv = command.split() + ["--graph", str(path)]
     else:
         argv = ["multiply", "--a", str(path), "--b", str(path), "--out", str(tmp_path / "c")]
     code, out, err = run(capsys, argv)
@@ -188,6 +195,28 @@ def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "out of memory" in err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced address-space limit")
+@pytest.mark.parametrize("flag, data", [("", "10000000000 1 1\nAB 0 0\n"), ("--general", "10000000\n0 1\n")])
+def test_indexable_header_too_large_for_memory_exits_3(tmp_path, flag, data):
+    # numpy can index these matrices, but a 4 GiB address space cannot map 75 GiB or 11 TiB
+    import resource
+
+    path = tmp_path / "huge.txt"
+    path.write_text(data)
+    limit = 4 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "trimat.cli", "detect", "--graph", str(path), *flag.split()],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert "Unable to allocate" in done.stderr
 
 
 def test_missing_file_exits_2(capsys):

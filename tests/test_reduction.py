@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import trimat as tm
+from trimat.bitmat import first_set_bit
 from trimat.reduction import _icbrt_ceil, default_detector
 
 from .conftest import assert_witness_valid
@@ -104,6 +106,43 @@ def test_triangle_via_bmm_trivial(single_triangle):
     v = tm.triangle_via_bmm(single_triangle)
     assert v.found and v.witness == (0, 0, 0)
     assert not tm.triangle_via_bmm(tm.TripartiteGraph(3, 3, 3)).found
+
+
+def _triangle_via_bmm_row_loop(g):
+    """The row-by-row scan triangle_via_bmm used to run over the product."""
+    paths = tm.multiply_bitpacked(g.ab, g.bc)
+    for a in range(g.nA):
+        if not tm.rows_intersect(paths, a, g.ac, a):
+            continue
+        c = first_set_bit(paths.row_words(a) & g.ac.row_words(a))
+        for b in g.ab.row_indices(a):
+            if g.bc.get(int(b), c):
+                return tm.Verdict(True, (a, int(b), c))
+    return tm.Verdict(False)
+
+
+def test_triangle_via_bmm_witness_matches_row_loop():
+    rng = tm.CounterRng(199)
+    found = 0
+    for _ in range(60):
+        na, nb, nc = (1 + rng.next_below(90) for _ in range(3))
+        g = tm.random_tripartite(rng, na, nb, nc, (0.02, 0.1, 0.3)[rng.next_below(3)])
+        got = tm.triangle_via_bmm(g)
+        assert got == _triangle_via_bmm_row_loop(g)
+        found += got.found
+        # triangle-free: AC is the complement of the A-C paths through B
+        paths = tm.multiply_bitpacked(g.ab, g.bc)
+        g.ac = paths.complement()
+        assert tm.triangle_via_bmm(g) == _triangle_via_bmm_row_loop(g) == tm.Verdict(False)
+        # then one path closed again, usually at a late A-vertex
+        rows, cols = np.nonzero(paths.bits())
+        if rows.size:
+            k = rows.size - 1 - rng.next_below(min(rows.size, 5))
+            g.ac.set(int(rows[k]), int(cols[k]))
+            got = tm.triangle_via_bmm(g)
+            assert got.found and got == _triangle_via_bmm_row_loop(g)
+            assert got.witness[0] == rows[k]
+    assert found > 10
 
 
 def test_triangle_via_bmm_three_way_cross_check():
