@@ -41,7 +41,6 @@ from .graph import (
     SubInstance,
     TripartiteGraph,
     Verdict,
-    complement_in,
     degree,
     from_edge_list,
     from_general_graph,
@@ -78,7 +77,6 @@ __all__ = [
     "brute_triangle",
     "build_pair_table",
     "check_degree_condition",
-    "complement_in",
     "degree",
     "detect",
     "detect_with_finder",

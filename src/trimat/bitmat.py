@@ -54,6 +54,16 @@ def first_set_bit(words: np.ndarray) -> int:
     return w * WORD_BITS + (x & -x).bit_length() - 1
 
 
+def first_set_bit_2d(words2d: np.ndarray) -> tuple[int, int]:
+    """First set bit of a 2-D word array in row-major order: (row, bit); (-1, -1) if none."""
+    nz = np.flatnonzero(words2d)
+    if nz.size == 0:
+        return -1, -1
+    row, w = divmod(int(nz[0]), words2d.shape[1])
+    x = int(words2d[row, w])
+    return row, w * WORD_BITS + (x & -x).bit_length() - 1
+
+
 def popcount_words(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum(dtype=np.int64))
 

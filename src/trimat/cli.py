@@ -13,7 +13,13 @@ import time
 
 from . import bitmat, detector, framework, oracle, reduction
 from . import four_russians as fr
-from .errors import FormatError, InvariantError, TableBudgetError, TrimatError
+from .errors import (
+    FinderContractError,
+    FormatError,
+    InvariantError,
+    TableBudgetError,
+    TrimatError,
+)
 from .graph import (
     RunStats,
     TripartiteGraph,
@@ -98,22 +104,27 @@ def _verify_graph_trial(rng: CounterRng, max_size: int, trial: int) -> str | Non
     density = VERIFY_DENSITIES[rng.next_below(len(VERIFY_DENSITIES))]
     g = random_tripartite(rng, na, nb, nc, density)
     expected = oracle.brute_triangle(g)
-
-    verdicts = [("recursive", detector.detect(g, None, RunStats()))]
-    verdicts.append(("bmm", reduction.triangle_via_bmm(g)))
-    verdicts.append(
-        (
-            "framework",
-            framework.detect_with_finder(
-                g, framework.high_degree_finder(2), None, RunStats()
-            ),
-        )
-    )
+    # the deep configurations send every non-empty view to the finder, so the
+    # paper's recursion is checked and not only its exhaustive leaf
+    finder = framework.high_degree_finder(2)
+    deep = detector.DetectorConfig(small_threshold=1, debug_charge_check=True)
+    deep_fw = framework.FrameworkConfig(small_volume_threshold=1, debug_verify_finder=True)
+    runs = [
+        ("recursive", lambda: detector.detect(g, None, RunStats())),
+        ("recursive-deep", lambda: detector.detect(g, deep, RunStats())),
+        ("bmm", lambda: reduction.triangle_via_bmm(g)),
+        ("framework", lambda: framework.detect_with_finder(g, finder, None, RunStats())),
+        ("framework-deep", lambda: framework.detect_with_finder(g, finder, deep_fw, RunStats())),
+    ]
     if fr.check_degree_condition(g, g.full_view(), 2) is None:
-        verdicts.append(
-            ("sparse", fr.sparse_detect(g, g.full_view(), fr.SparseParams(2), RunStats()))
+        runs.append(
+            ("sparse", lambda: fr.sparse_detect(g, g.full_view(), fr.SparseParams(2), RunStats()))
         )
-    for name, verdict in verdicts:
+    for name, run in runs:
+        try:
+            verdict = run()
+        except (InvariantError, FinderContractError) as exc:
+            return f"trial {trial}: {name} raised {exc!r} on graph:\n{format_graph_text(g)}"
         if verdict.found != expected.found:
             return (
                 f"trial {trial}: {name} said {verdict.found}, brute force said "

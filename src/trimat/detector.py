@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import four_russians as fr
-from .bitmat import first_set_bit, pack_index_mask, unpack_word_indices
+from .bitmat import first_set_bit, first_set_bit_2d, pack_index_mask, unpack_word_indices
 from .errors import InvariantError
 from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, neighborhood
 
@@ -56,7 +56,6 @@ class DetectorConfig:
     delta: int = 2
     small_threshold: int | None = None
     debug_charge_check: bool = False
-    max_table_entries: int = fr.DEFAULT_TABLE_BUDGET
 
     def __post_init__(self):
         self.delta = max(1, int(self.delta))
@@ -64,12 +63,6 @@ class DetectorConfig:
             self.small_threshold = self.delta**6
         if self.small_threshold < 1:
             raise ValueError("small_threshold must be at least 1")
-
-    def sparse_params(self) -> fr.SparseParams:
-        return fr.SparseParams(
-            delta=self.delta,
-            max_table_entries=self.max_table_entries,
-        )
 
 
 class ChargeLedger:
@@ -139,7 +132,7 @@ def detect(
             return exhaustive_search(g, sub, stats)
         return None
 
-    finder = high_degree_finder(cfg.delta, cfg.sparse_params())
+    finder = high_degree_finder(cfg.delta)
     if ledger is not None:
         settle = finder
 
@@ -238,18 +231,12 @@ def step4_scan(
     v1: int,
     stats: RunStats,
 ) -> Verdict:
-    """Scan all of B1 x C1 for a B-C edge, word-parallel per B1 row."""
+    """Scan all of B1 x C1 for a B-C edge; the witness is the first in row-major order."""
     stats.pairs_charged += len(sub_b1) * len(sub_c1)
-    if len(sub_b1) == 0 or len(sub_c1) == 0:
+    row, c = first_set_bit_2d(g.bc.words2d[sub_b1] & pack_index_mask(sub_c1, g.nC))
+    if row < 0:
         return Verdict(False)
-    mask_c1 = pack_index_mask(sub_c1, g.nC)
-    bw = g.bc.words2d
-    for b in sub_b1:
-        hit = bw[int(b)] & mask_c1
-        c = first_set_bit(hit)
-        if c >= 0:
-            return Verdict(True, (int(v1), int(b), c))
-    return Verdict(False)
+    return Verdict(True, (int(v1), int(sub_b1[row]), c))
 
 
 def exhaustive_search(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> Verdict:

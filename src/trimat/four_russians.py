@@ -28,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .bitmat import unpack_word_indices
+from .bitmat import first_set_bit_2d, pack_index_mask, unpack_word_indices
 from .errors import InvariantError, TableBudgetError
 from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, degrees_all
 
@@ -253,9 +253,10 @@ def sparse_detect(
         # A hit names only the chunk pair; rescan the <= delta x delta
         # block to recover concrete endpoints.
         kb, kc = divmod(first, len(slots_c))
-        for b in nb_global[bounds_b[kb] : bounds_b[kb + 1]]:
-            for c in nc_global[bounds_c[kc] : bounds_c[kc + 1]]:
-                if g.bc.get(int(b), int(c)):
-                    return Verdict(True, (v, int(b), int(c)))
-        raise InvariantError("table hit with no edge in the chunk pair")
+        rows = nb_global[bounds_b[kb] : bounds_b[kb + 1]]
+        mask = pack_index_mask(nc_global[bounds_c[kc] : bounds_c[kc + 1]], g.nC)
+        row, c = first_set_bit_2d(g.bc.words2d[rows] & mask)
+        if row < 0:
+            raise InvariantError("table hit with no edge in the chunk pair")
+        return Verdict(True, (v, int(rows[row]), c))
     return Verdict(False)

@@ -26,17 +26,13 @@ PART_C = "C"
 
 @dataclass
 class RunStats:
-    """Work counters; all monotone during a run, merged additively."""
+    """Work counters; all monotone during a run."""
 
     triples_enumerated: int = 0
     pairs_charged: int = 0
     recursion_nodes: int = 0
     table_queries: int = 0
     sparse_calls: int = 0
-
-    def merge(self, other: "RunStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_lines(self) -> list[str]:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
@@ -148,31 +144,12 @@ class SubInstance:
             self._mask_c = pack_index_mask(self.ic, self.g.nC)
         return self._mask_c
 
-    def part_indices(self, part: str) -> np.ndarray:
-        if part == PART_B:
-            return self.ib
-        if part == PART_C:
-            return self.ic
-        raise ValueError(f"part must be 'B' or 'C', got {part!r}")
-
-    def restrict(self, ia, ib, ic) -> "SubInstance":
-        """New view over the same graph; inputs must be subsets of the old lists."""
-        sub = SubInstance(self.g, ia, ib, ic)
-        assert _is_subset(sub.ia, self.ia), "ia is not a subset of the view"
-        assert _is_subset(sub.ib, self.ib), "ib is not a subset of the view"
-        assert _is_subset(sub.ic, self.ic), "ic is not a subset of the view"
-        return sub
-
     def __repr__(self) -> str:
         return f"SubInstance({self.na}/{self.nb}/{self.nc})"
 
 
 def _strictly_increasing(arr: np.ndarray) -> bool:
     return len(arr) < 2 or bool(np.all(np.diff(arr) > 0))
-
-
-def _is_subset(sub: np.ndarray, sup: np.ndarray) -> bool:
-    return bool(np.isin(sub, sup, assume_unique=True).all())
 
 
 def _row_for(g: TripartiteGraph, sub: SubInstance, v: int, part: str):
@@ -201,11 +178,6 @@ def neighborhood(g: TripartiteGraph, sub: SubInstance, v: int, part: str) -> np.
     _require_in_view(sub, v)
     row, mask = _row_for(g, sub, v, part)
     return unpack_word_indices(row & mask)
-
-
-def complement_in(sub: SubInstance, part: str, indices) -> np.ndarray:
-    """View part indices not in `indices` (the non-neighbors, typically)."""
-    return np.setdiff1d(sub.part_indices(part), indices, assume_unique=True)
 
 
 def degrees_all(g: TripartiteGraph, sub: SubInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -316,8 +288,8 @@ def parse_general_graph_text(text: str) -> TripartiteGraph:
 
 
 def format_graph_text(g: TripartiteGraph) -> str:
-    out = [f"{g.nA} {g.nB} {g.nC}"]
+    out = [f"{g.nA} {g.nB} {g.nC}\n"]
     for pair, m in ((PAIR_AB, g.ab), (PAIR_AC, g.ac), (PAIR_BC, g.bc)):
-        rows, cols = np.nonzero(m.bits())
-        out += [f"{pair} {i} {j}" for i, j in zip(rows.tolist(), cols.tolist())]
-    return "\n".join(out) + "\n"
+        ij = np.argwhere(m.bits()).ravel().tolist()  # i, j of every edge in row-major order
+        out.append((f"{pair} %d %d\n" * (len(ij) // 2)) % tuple(ij))
+    return "".join(out)

@@ -25,12 +25,17 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_vec(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+_CHUNK = 1 << 16  # values mixed per pass, so the working set stays in cache
+
+
+def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 on every element of x, in place; tmp is scratch of x's shape."""
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(x, np.uint64(shift), out=tmp)
+        x ^= tmp
+        x *= np.uint64(mult)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
 
 
 class CounterRng:
@@ -53,11 +58,16 @@ class CounterRng:
         return (self.next_u64() * n) >> 64
 
     def next_block(self, count: int) -> np.ndarray:
-        """count consecutive stream values as a uint64 array (vectorized)."""
-        ks = np.arange(self.cursor + 1, self.cursor + count + 1, dtype=np.uint64)
+        """count consecutive stream values as a uint64 array, mixed in place by chunks."""
+        out = np.arange(self.cursor + 1, self.cursor + count + 1, dtype=np.uint64)
         self.cursor += count
-        vals = ks * np.uint64(_GOLD) + np.uint64(self.seed)
-        return _mix64_vec(vals)
+        tmp = np.empty(min(count, _CHUNK), dtype=np.uint64)
+        for lo in range(0, count, _CHUNK):
+            x = out[lo : lo + _CHUNK]
+            x *= np.uint64(_GOLD)
+            x += np.uint64(self.seed)
+            _mix64_inplace(x, tmp[: len(x)])
+        return out
 
 
 def _density_threshold(density: float) -> int:

@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .bitmat import BitMatrix, first_set_bit, multiply_bitpacked
+from .bitmat import BitMatrix, first_set_bit_2d, multiply_bitpacked, pack_index_mask
 from .detector import DetectorConfig, detect
 from .graph import RunStats, TripartiteGraph, Verdict
 
@@ -110,13 +108,11 @@ def bmm_via_triangle(
 def triangle_via_bmm(g: TripartiteGraph) -> Verdict:
     """Folklore converse: a triangle exists iff (ab (.) bc) meets ac."""
     paths = multiply_bitpacked(g.ab, g.bc)
-    hits = paths.words2d & g.ac.words2d
-    rows = np.flatnonzero(hits.any(axis=1))
-    if rows.size == 0:
+    a, c = first_set_bit_2d(paths.words2d & g.ac.words2d)
+    if a < 0:
         return Verdict(False)
-    a = int(rows[0])
-    c = first_set_bit(hits[a])
-    for b in g.ab.row_indices(a):
-        if g.bc.get(int(b), c):
-            return Verdict(True, (a, int(b), c))
-    raise AssertionError("product bit with no middle vertex")
+    middles = g.ab.row_indices(a)
+    k, _ = first_set_bit_2d(g.bc.words2d[middles] & pack_index_mask([c], g.nC))
+    if k < 0:
+        raise AssertionError("product bit with no middle vertex")
+    return Verdict(True, (a, int(middles[k]), c))

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimat as tm
-from trimat.bitmat import first_set_bit, indexable, pack_index_mask, unpack_word_indices
+from trimat.bitmat import (
+    first_set_bit,
+    first_set_bit_2d,
+    indexable,
+    pack_index_mask,
+    unpack_word_indices,
+)
 
 from .conftest import matrix_from_strings
 
@@ -144,6 +150,31 @@ def test_pack_unpack_helpers():
     assert list(unpack_word_indices(mask)) == [0, 63, 64, 129]
     assert first_set_bit(mask) == 0
     assert first_set_bit(np.zeros(2, dtype=np.uint64)) == -1
+
+
+def _first_set_bit_2d_reference(words2d):
+    """Row-major scan with one shift per bit."""
+    for r in range(words2d.shape[0]):
+        for k in range(words2d.shape[1] * 64):
+            if (int(words2d[r, k // 64]) >> (k % 64)) & 1:
+                return r, k
+    return -1, -1
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_first_set_bit_2d_matches_scalar_reference(rows, words):
+    zero = np.zeros((rows, words), dtype=np.uint64)
+    assert first_set_bit_2d(zero) == _first_set_bit_2d_reference(zero) == (-1, -1)
+    bits = [k for k in (0, 63, 64, 127) if k < words * 64]
+    for r in range(rows):
+        for k in bits:
+            # the first bit at (r, k), with later bits in row r and in every later row
+            bitmap = np.zeros((rows, words * 64), dtype=np.uint8)
+            bitmap[r, [j for j in bits if j >= k]] = 1
+            bitmap[r + 1 :, bits] = 1
+            words2d = np.packbits(bitmap, axis=1, bitorder="little").view(np.uint64)
+            assert first_set_bit_2d(words2d) == _first_set_bit_2d_reference(words2d) == (r, k)
 
 
 def test_block_and_complement():

@@ -119,6 +119,71 @@ def test_verify_documented_scale_passes(capsys):
     assert out.splitlines()[-1].startswith("OK 200 trials")
 
 
+def test_verify_runs_the_finder_in_every_graph_trial(capsys, monkeypatch):
+    from trimat import detector, framework
+
+    calls = {"detect": 0, "framework": 0}
+
+    def counting(kind, make_finder):
+        def factory(*args, **kwargs):
+            finder = make_finder(*args, **kwargs)
+
+            def counted(g, sub, stats):
+                calls[kind] += 1
+                return finder(g, sub, stats)
+
+            return counted
+
+        return factory
+
+    monkeypatch.setattr(detector, "high_degree_finder",
+                        counting("detect", detector.high_degree_finder))
+    monkeypatch.setattr(framework, "high_degree_finder",
+                        counting("framework", framework.high_degree_finder))
+    trial = cli._verify_graph_trial
+    per_trial = []
+
+    def counted_trial(*args):
+        before = dict(calls)
+        failure = trial(*args)
+        per_trial.append({k: calls[k] - before[k] for k in calls})
+        return failure
+
+    monkeypatch.setattr(cli, "_verify_graph_trial", counted_trial)
+    code, _, _ = run(capsys, ["verify", "--seed", "7", "--trials", "40", "--max-size", "24"])
+    assert code == 0 and len(per_trial) == 40
+    assert all(c["detect"] >= 1 and c["framework"] >= 1 for c in per_trial)
+
+
+def test_verify_catches_step4_scan_skipping_its_last_row(capsys, monkeypatch):
+    from trimat import detector
+
+    scan = detector.step4_scan
+    monkeypatch.setattr(detector, "step4_scan",
+                        lambda g, b1, c1, v1, stats: scan(g, b1[:-1], c1, v1, stats))
+    code, out, _ = run(capsys, ["verify", "--seed", "1", "--trials", "10", "--max-size", "24"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "FAIL"
+    assert lines[2].startswith("trial 9: recursive-deep said False, brute force said True")
+
+
+def test_verify_reports_library_errors_as_a_failed_trial(capsys, monkeypatch):
+    from trimat import detector
+
+    def broken(*args):
+        raise tm.InvariantError("broken scan")
+
+    monkeypatch.setattr(detector, "step4_scan", broken)
+    code, out, err = run(capsys, ["verify", "--seed", "7", "--trials", "5", "--max-size", "24"])
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[1] == "FAIL"
+    assert lines[2] == "trial 0: recursive-deep raised InvariantError('broken scan') on graph:"
+    g = tm.parse_graph_text("\n".join(lines[3:]) + "\n")
+    assert lines[3] == f"{g.nA} {g.nB} {g.nC}"
+
+
 def test_bench_emits_csv(capsys):
     code, out, _ = run(
         capsys,

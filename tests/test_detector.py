@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import trimat as tm
+from trimat.bitmat import first_set_bit, pack_index_mask
 from trimat.detector import ChargeLedger
 
 from .conftest import assert_witness_valid, complete_tripartite
@@ -128,6 +129,44 @@ def test_step4_scan_matches_double_loop():
     expect = any(g.bc.get(int(b), int(c)) for b in b1 for c in c1)
     v = tm.step4_scan(g, b1, c1, 0, tm.RunStats())
     assert v.found == expect
+
+
+def _step4_row_loop(g, b1, c1, v1):
+    """The former step4_scan: one masked first_set_bit per B1 row, in order."""
+    mask_c1 = pack_index_mask(c1, g.nC)
+    for b in b1:
+        c = first_set_bit(g.bc.words2d[int(b)] & mask_c1)
+        if c >= 0:
+            return tm.Verdict(True, (int(v1), int(b), c))
+    return tm.Verdict(False)
+
+
+def _random_subset(rng, n, keep_one_in):
+    return np.flatnonzero(rng.next_block(n) % np.uint64(keep_one_in) == 0)
+
+
+@pytest.mark.parametrize("nc", [63, 64, 65, 130])
+def test_step4_scan_witness_matches_row_loop(nc):
+    rng = tm.CounterRng(nc)
+    nb = 40
+    cases = []
+    for density in (0.003, 0.02, 0.1):
+        g = tm.random_tripartite(rng, 1, nb, nc, density)
+        cases += [(g, _random_subset(rng, nb, k), _random_subset(rng, nc, k)) for k in (1, 2, 3)]
+    # B1 x C1 without a B-C edge, then with one edge in the last B1 row, at the last C1 column
+    g = tm.random_tripartite(rng, 1, nb, nc, 0.3)
+    b1, c1 = np.arange(0, nb, 3), np.arange(1, nc, 2)
+    g.bc.words2d[b1] &= ~pack_index_mask(c1, nc)
+    last = tm.TripartiteGraph(1, nb, nc, g.ab, g.ac, g.bc.copy())
+    last.bc.set(int(b1[-1]), int(c1[-1]))
+    cases += [(g, b1, c1), (last, b1, c1)]
+    for g, b1, c1 in cases:
+        stats = tm.RunStats()
+        got = tm.step4_scan(g, b1, c1, 0, stats)
+        assert got == _step4_row_loop(g, b1, c1, 0)
+        assert stats.pairs_charged == len(b1) * len(c1)
+    assert not tm.step4_scan(*cases[-2], 0, tm.RunStats()).found
+    assert got.witness == (0, b1[-1], c1[-1])
 
 
 def test_charge_ledger_flags_duplicates():

@@ -172,6 +172,58 @@ def test_sparse_detect_matches_brute_force_when_precondition_holds():
             assert_witness_valid(g, got)
 
 
+def _sparse_witness_reference(g, sub, delta):
+    """Per A-vertex, the first chunk pair with an edge in row-major order,
+    re-scanned with one BitMatrix.get per pair (the former witness recovery)."""
+    for v in sub.ia.tolist():
+        nb = tm.neighborhood(g, sub, v, "B")
+        nc = tm.neighborhood(g, sub, v, "C")
+        if not (len(nb) and len(nc)):
+            continue
+        bounds_b = chunk_slots(np.searchsorted(sub.ib, nb), delta)[1]
+        bounds_c = chunk_slots(np.searchsorted(sub.ic, nc), delta)[1]
+        for kb in range(len(bounds_b) - 1):
+            for kc in range(len(bounds_c) - 1):
+                for b in nb[bounds_b[kb] : bounds_b[kb + 1]].tolist():
+                    for c in nc[bounds_c[kc] : bounds_c[kc + 1]].tolist():
+                        if g.bc.get(b, c):
+                            return tm.Verdict(True, (v, b, c))
+    return tm.Verdict(False)
+
+
+def _random_subset(rng, n, keep_one_in):
+    return np.flatnonzero(rng.next_block(n) % np.uint64(keep_one_in) == 0)
+
+
+@pytest.mark.parametrize("nc", [63, 64, 65, 130])
+@pytest.mark.parametrize("delta", [1, 2])
+def test_sparse_detect_witness_matches_chunk_rescan(nc, delta):
+    rng = tm.CounterRng(nc * 10 + delta)
+    na, nb = 12, 40
+    cases = []
+    for density in (0.01, 0.05, 0.2):
+        g = tm.random_tripartite(rng, na, nb, nc, density)
+        cases += [
+            (g, tm.SubInstance(g, _random_subset(rng, na, k), _random_subset(rng, nb, k),
+                               _random_subset(rng, nc, k)))
+            for k in (1, 2, 3)
+        ]
+    # one B-C edge in the view, joining its last B and last C vertex: the hit is
+    # the last chunk pair of the one A-vertex that sees the whole view
+    g = tm.TripartiteGraph(na, nb, nc)
+    sub = tm.SubInstance(g, np.arange(na), np.arange(1, nb, 2), np.arange(0, nc, 3))
+    g.ab.words2d[5] = sub.mask_b
+    g.ac.words2d[5] = sub.mask_c
+    g.bc.set(int(sub.ib[-1]), int(sub.ic[-1]))
+    cases.append((g, sub))
+    for g, sub in cases:
+        got = tm.sparse_detect(g, sub, tm.SparseParams(delta), tm.RunStats())
+        assert got == _sparse_witness_reference(g, sub, delta)
+    assert got.witness == (5, sub.ib[-1], sub.ic[-1])
+    assert any(not tm.sparse_detect(g, sub, tm.SparseParams(delta), tm.RunStats()).found
+               for g, sub in cases)
+
+
 def test_sparse_detect_precondition_check_fires():
     g = complete_tripartite(8, 8, 8)
     params = tm.SparseParams(delta=2, check_precondition=True)
