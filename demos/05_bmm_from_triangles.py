@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Boolean matrix multiplication from a triangle detector, and the trivial
-# converse. Each block triple becomes a tripartite graph whose A-C edges are
-# the complement of the output bits found so far, so every witness is a new
-# product bit (witness deletion).
+# converse. One tripartite graph holds a as its A-B edges, b as its B-C edges
+# and all-ones A-C edges. The detector searches the view of each block triple;
+# every witness is a new product bit, whose A-C edge is then deleted (witness
+# deletion). The product is the complement of the A-C edges left.
 
 import trimat as tm
 from trimat.reduction import default_detector
@@ -17,9 +18,9 @@ print(f"n = {n}: default block side t = {spec.t} "
       f"({spec.blocks_per_side} blocks per side)")
 
 calls = {"n": 0}
-def counting(g, stats):
+def counting(g, sub, stats):
     calls["n"] += 1
-    return default_detector()(g, stats)
+    return default_detector()(g, sub, stats)
 
 out = tm.bmm_via_triangle(a, b, spec, counting)
 expect = tm.multiply_scalar_oracle(a, b)
@@ -30,7 +31,7 @@ assert calls["n"] == spec.blocks_per_side**3 + out.count()
 
 # Any correct detector gives the identical product; only the call pattern
 # inside each block changes.
-brute = tm.bmm_via_triangle(a, b, spec, lambda g, s: tm.brute_triangle(g))
+brute = tm.bmm_via_triangle(a, b, spec, lambda g, sub, s: tm.brute_triangle(g, sub))
 print("detector-agnostic:", brute == out)
 
 # The converse direction: one Boolean product answers triangle detection.

@@ -44,16 +44,6 @@ def unpack_word_indices(words: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))
 
 
-def first_set_bit(words: np.ndarray) -> int:
-    """Lowest set bit position in a word array; -1 if all zero."""
-    nz = np.flatnonzero(words)
-    if nz.size == 0:
-        return -1
-    w = int(nz[0])
-    x = int(words[w])
-    return w * WORD_BITS + (x & -x).bit_length() - 1
-
-
 def first_set_bit_2d(words2d: np.ndarray) -> tuple[int, int]:
     """First set bit of a 2-D word array in row-major order: (row, bit); (-1, -1) if none."""
     nz = np.flatnonzero(words2d)

@@ -89,7 +89,8 @@ def cmd_multiply(args) -> int:
     elif args.algo == "scalar":
         out = oracle.multiply_scalar_oracle(a, b)
     else:
-        spec = reduction.BlockSpec(a.rows, args.block) if args.block else None
+        n = reduction.product_side(a, b)
+        spec = reduction.BlockSpec(n, args.block) if args.block else None
         out = reduction.bmm_via_triangle(a, b, spec)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(bitmat.format_matrix_text(out))

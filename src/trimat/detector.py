@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import four_russians as fr
-from .bitmat import first_set_bit, first_set_bit_2d, pack_index_mask, unpack_word_indices
+from .bitmat import first_set_bit_2d, pack_index_mask, unpack_word_indices
 from .errors import InvariantError
 from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, neighborhood
 
@@ -114,8 +114,9 @@ def detect(
     g: TripartiteGraph,
     cfg: DetectorConfig | None = None,
     stats: RunStats | None = None,
+    view: SubInstance | None = None,
 ) -> Verdict:
-    """Detect a triangle (one vertex per part) in a tripartite graph."""
+    """Detect a triangle (one vertex per part) in `view`, by default the whole graph."""
     cfg = cfg or DetectorConfig()
     stats = stats if stats is not None else RunStats()
     small = cfg.small_threshold
@@ -141,7 +142,7 @@ def detect(
             ledger.charge(res.b_part, res.c_part)
             return res
 
-    return _search(g, leaf, finder, stats)
+    return _search(g, leaf, finder, stats, view=view)
 
 
 def _search(
@@ -150,14 +151,16 @@ def _search(
     finder: EasyPartFinder,
     stats: RunStats,
     check: Callable[[FinderResult, SubInstance], None] | None = None,
+    view: SubInstance | None = None,
 ) -> Verdict:
     """Depth-first search over views, children visited in the order pushed.
 
     The leaf rule runs first at every node and answers it unless it returns
     None; only then does the finder settle a block, which `check` (when
-    given) may reject before the split.
+    given) may reject before the split.  The search starts at `view`, or at
+    the whole graph when it is None.
     """
-    stack = [g.full_view()]
+    stack = [view if view is not None else g.full_view()]
     while stack:
         sub = stack.pop()
         stats.recursion_nodes += 1
@@ -187,9 +190,7 @@ def _search(
     return Verdict(False)
 
 
-def high_degree_finder(
-    delta: int = 2, params: fr.SparseParams | None = None
-) -> EasyPartFinder:
+def high_degree_finder(delta: int = 2) -> EasyPartFinder:
     """Easy-part finder wrapping the high-degree / sparse dichotomy.
 
     If some A-vertex v1 violates the degree bound, its neighborhoods B1, C1
@@ -199,7 +200,7 @@ def high_degree_finder(
     Otherwise the whole view is sparse enough for the lookup-table detector
     and is returned intact.
     """
-    params = params or fr.SparseParams(delta=delta)
+    params = fr.SparseParams(delta=delta)
 
     def finder(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> FinderResult:
         v1 = fr.check_degree_condition(g, sub, params.delta)
@@ -242,11 +243,12 @@ def step4_scan(
 def exhaustive_search(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> Verdict:
     """Triple loop over the view with early exit.
 
-    The loop itself is word-assisted (each (a, b) edge pair is resolved
-    with one AND over C-masked rows, and an A-vertex with no C-neighbour in
-    the view is skipped whole), but the triples_enumerated counter
-    follows triple-loop semantics: the full view volume when triangle-free,
-    the inspected prefix when a triangle cuts the scan short.
+    The loop itself is word-assisted: each A-vertex resolves all its
+    B-neighbours with one AND of their B-C rows against its C-masked A-C
+    row, and an A-vertex with no neighbour in the view on either side is
+    skipped whole.  The triples_enumerated counter follows triple-loop
+    semantics: the full view volume when triangle-free, the inspected
+    prefix when a triangle cuts the scan short.
     """
     na, nb, nc = sub.na, sub.nb, sub.nc
     if na == 0 or nb == 0 or nc == 0:
@@ -257,11 +259,14 @@ def exhaustive_search(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> 
         ac_row = ac_w[a] & mask_c
         if not np.count_nonzero(ac_row):
             continue
-        for b in unpack_word_indices(ab_w[a] & mask_b).tolist():
-            c = first_set_bit(ac_row & bc_w[b])
-            if c >= 0:
-                bpos = int(np.searchsorted(sub.ib, b))
-                stats.triples_enumerated += apos * nb * nc + (bpos + 1) * nc
-                return Verdict(True, (a, b, c))
+        nbrs = unpack_word_indices(ab_w[a] & mask_b)
+        if nbrs.size == 0:
+            continue
+        row, c = first_set_bit_2d(bc_w[nbrs] & ac_row)
+        if row >= 0:
+            b = int(nbrs[row])
+            bpos = int(np.searchsorted(sub.ib, b))
+            stats.triples_enumerated += apos * nb * nc + (bpos + 1) * nc
+            return Verdict(True, (a, b, c))
     stats.triples_enumerated += na * nb * nc
     return Verdict(False)

@@ -19,9 +19,9 @@ def _bit(data, wpr: int, i: int, j: int) -> int:
 
 def brute_triangle(g: TripartiteGraph, sub: SubInstance | None = None) -> Verdict:
     """Scalar triple loop; returns the lexicographically first witness."""
-    ia = sub.ia if sub is not None else range(g.nA)
-    ib = sub.ib if sub is not None else range(g.nB)
-    ic = sub.ic if sub is not None else range(g.nC)
+    ia = sub.ia.tolist() if sub is not None else range(g.nA)
+    ib = sub.ib.tolist() if sub is not None else range(g.nB)
+    ic = sub.ic.tolist() if sub is not None else range(g.nC)
     ab, ac, bc = g.ab.data, g.ac.data, g.bc.data
     wab, wac, wbc = g.ab.words_per_row, g.ac.words_per_row, g.bc.words_per_row
     for a in ia:
@@ -30,7 +30,7 @@ def brute_triangle(g: TripartiteGraph, sub: SubInstance | None = None) -> Verdic
                 continue
             for c in ic:
                 if _bit(ac, wac, a, c) and _bit(bc, wbc, b, c):
-                    return Verdict(True, (int(a), int(b), int(c)))
+                    return Verdict(True, (a, b, c))
     return Verdict(False)
 
 

@@ -1,25 +1,29 @@
 """Boolean matrix multiplication through repeated triangle detection.
 
-The product c = a (.) b is recovered blockwise: for every triple of blocks
-(I rows, K middles, J columns) build the tripartite graph whose A-B edges
-come from a[I,K], B-C edges from b[K,J], and A-C edges are the complement
-of the output bits discovered so far in c[I,J].  A triangle (i, k, j) in
-that graph is precisely a not-yet-recorded product bit, so record it,
-delete its A-C edge, and ask again; once the block triple is triangle-free
-every remaining output bit in it is 0.  Each detector call either yields a
-fresh bit or finishes the triple, which bounds the number of calls.
+The product c = a (.) b is recovered over one tripartite graph whose A-B
+edges are a, B-C edges are b and A-C edges start all ones, so any shape
+with a matching inner dimension works.  For every triple of blocks (I rows,
+K middles, J columns) the detector searches the view I x K x J.  A triangle
+(i, k, j) in it is precisely a not-yet-recorded product bit, so delete its
+A-C edge and ask again; once the view is triangle-free every remaining A-C
+edge in it is a 0 of c, and c is the complement of the A-C edges.  Each
+detector call either yields a fresh bit or finishes the triple, which
+bounds the number of calls.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .bitmat import BitMatrix, first_set_bit_2d, multiply_bitpacked, pack_index_mask
 from .detector import DetectorConfig, detect
-from .graph import RunStats, TripartiteGraph, Verdict
+from .graph import RunStats, SubInstance, TripartiteGraph, Verdict
 
-DetectorHandle = Callable[[TripartiteGraph, RunStats], Verdict]
+DetectorHandle = Callable[[TripartiteGraph, SubInstance, RunStats], Verdict]
 
 
 def _icbrt_ceil(n: int) -> int:
@@ -34,7 +38,7 @@ def _icbrt_ceil(n: int) -> int:
 
 @dataclass
 class BlockSpec:
-    """Block decomposition of an n x n product: side length t per block."""
+    """Block decomposition of a product with n = product_side(a, b): side t per block."""
 
     n: int
     t: int
@@ -55,7 +59,12 @@ class BlockSpec:
 
 
 def default_detector(cfg: DetectorConfig | None = None) -> DetectorHandle:
-    return lambda g, stats: detect(g, cfg, stats)
+    return lambda g, sub, stats: detect(g, cfg, stats, sub)
+
+
+def product_side(a: BitMatrix, b: BitMatrix) -> int:
+    """The largest of rows(a), inner dimension and cols(b)."""
+    return max(a.rows, a.cols, b.cols)
 
 
 def bmm_via_triangle(
@@ -68,41 +77,28 @@ def bmm_via_triangle(
     """Boolean product computed by witness deletion over block triples.
 
     Any correct tripartite triangle detector with witness reporting can be
-    plugged in; the output is the same for all of them.
+    plugged in; the output is the same for all of them.  a and b become
+    the graph's A-B and B-C matrices as they are, and are left unchanged.
     """
-    if not (a.rows == a.cols == b.rows == b.cols):
-        raise ValueError(
-            f"expected square matrices of equal size, got {a.rows}x{a.cols} "
-            f"and {b.rows}x{b.cols}"
-        )
-    n = a.rows
+    n = product_side(a, b)
     spec = spec or BlockSpec.default_for(n)
     if spec.n != n:
-        raise ValueError(f"block spec is for n={spec.n}, matrices are {n}x{n}")
+        raise ValueError(f"block spec is for n={spec.n}, the product needs n={n}")
     detector = detector or default_detector()
     stats = stats if stats is not None else RunStats()
 
-    out = BitMatrix(n, n)
+    ones = BitMatrix(a.rows, b.cols).complement()
+    g = TripartiteGraph(a.rows, a.cols, b.cols, ab=a, ac=ones, bc=b)
     t = spec.t
-    starts = list(range(0, n, t))
-    for i0 in starts:
-        i1 = min(i0 + t, n)
-        for k0 in starts:
-            k1 = min(k0 + t, n)
-            ab = a.block(i0, i1, k0, k1)
-            for j0 in starts:
-                j1 = min(j0 + t, n)
-                bc = b.block(k0, k1, j0, j1)
-                ac = out.block(i0, i1, j0, j1).complement()
-                g = TripartiteGraph(i1 - i0, k1 - k0, j1 - j0, ab=ab, ac=ac, bc=bc)
-                while True:
-                    verdict = detector(g, stats)
-                    if not verdict.found:
-                        break
-                    i, _, j = verdict.witness
-                    out.set(i0 + i, j0 + j)
-                    g.ac.set(i, j, False)
-    return out
+    cuts = [[np.arange(s, min(s + t, m)) for s in range(0, m, t)] for m in (g.nA, g.nB, g.nC)]
+    for ia, ib, ic in itertools.product(*cuts):
+        while True:
+            verdict = detector(g, SubInstance(g, ia, ib, ic), stats)
+            if not verdict.found:
+                break
+            i, _, j = verdict.witness
+            g.ac.set(i, j, False)
+    return g.ac.complement()
 
 
 def triangle_via_bmm(g: TripartiteGraph) -> Verdict:

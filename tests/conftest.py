@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import trimat as tm
@@ -45,6 +46,15 @@ def scalar_triangle_exists(g):
                 if g.ac.get(a, c) and g.bc.get(b, c):
                     return True
     return False
+
+
+def first_set_bit(words):
+    """Lowest set bit position in a 1-D word array; -1 if all zero."""
+    nz = np.flatnonzero(words)
+    if nz.size == 0:
+        return -1
+    x = int(words[nz[0]])
+    return int(nz[0]) * 64 + (x & -x).bit_length() - 1
 
 
 def assert_witness_valid(g, verdict):

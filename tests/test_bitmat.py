@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import trimat as tm
 from trimat.bitmat import (
-    first_set_bit,
     first_set_bit_2d,
     indexable,
     pack_index_mask,
@@ -148,8 +147,6 @@ def test_indexable_bounds_sides_and_word_buffer():
 def test_pack_unpack_helpers():
     mask = pack_index_mask([0, 63, 64, 129], 130)
     assert list(unpack_word_indices(mask)) == [0, 63, 64, 129]
-    assert first_set_bit(mask) == 0
-    assert first_set_bit(np.zeros(2, dtype=np.uint64)) == -1
 
 
 def _first_set_bit_2d_reference(words2d):

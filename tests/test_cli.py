@@ -92,6 +92,22 @@ def test_multiply_algorithms_agree(tmp_path, capsys, algo):
     assert po.read_text() == tm.format_matrix_text(tm.multiply_scalar_oracle(a, b))
 
 
+@pytest.mark.parametrize("block", [[], ["--block", "3"]])
+def test_multiply_via_triangle_rectangular_matches_bitpacked(tmp_path, capsys, block):
+    rng = tm.CounterRng(223)
+    pa, pb = tmp_path / "a", tmp_path / "b"
+    pa.write_text(tm.format_matrix_text(tm.random_bitmatrix(rng, 2, 3, 0.5)))
+    pb.write_text(tm.format_matrix_text(tm.random_bitmatrix(rng, 3, 2, 0.5)))
+    outputs = []
+    for algo, extra in (("bitpacked", []), ("via-triangle", block)):
+        po = tmp_path / algo
+        argv = ["multiply", "--a", str(pa), "--b", str(pb), "--out", str(po), "--algo", algo]
+        code, _, _ = run(capsys, argv + extra)
+        assert code == 0
+        outputs.append(po.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_multiply_output_is_byte_stable(tmp_path, capsys):
     rng = tm.CounterRng(211)
     a = tm.random_bitmatrix(rng, 8, 8, 0.5)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import trimat as tm
-from trimat.bitmat import first_set_bit, pack_index_mask
+from trimat.bitmat import pack_index_mask, unpack_word_indices
 from trimat.detector import ChargeLedger
 
-from .conftest import assert_witness_valid, complete_tripartite
+from .conftest import assert_witness_valid, complete_tripartite, first_set_bit
 
 
 def test_detect_single_triangle(single_triangle):
@@ -167,6 +167,60 @@ def test_step4_scan_witness_matches_row_loop(nc):
         assert stats.pairs_charged == len(b1) * len(c1)
     assert not tm.step4_scan(*cases[-2], 0, tm.RunStats()).found
     assert got.witness == (0, b1[-1], c1[-1])
+
+
+def _leaf_pair_loop(g, sub, stats):
+    """The former exhaustive_search: one masked first_set_bit per (a, b) edge pair."""
+    na, nb, nc = sub.na, sub.nb, sub.nc
+    if na == 0 or nb == 0 or nc == 0:
+        return tm.Verdict(False)
+    for apos, a in enumerate(sub.ia.tolist()):
+        ac_row = g.ac.words2d[a] & sub.mask_c
+        if not np.count_nonzero(ac_row):
+            continue
+        for b in unpack_word_indices(g.ab.words2d[a] & sub.mask_b).tolist():
+            c = first_set_bit(ac_row & g.bc.words2d[b])
+            if c >= 0:
+                bpos = int(np.searchsorted(sub.ib, b))
+                stats.triples_enumerated += apos * nb * nc + (bpos + 1) * nc
+                return tm.Verdict(True, (a, b, c))
+    stats.triples_enumerated += na * nb * nc
+    return tm.Verdict(False)
+
+
+@pytest.mark.parametrize("nc", [63, 64, 65, 130])
+def test_exhaustive_search_matches_pair_loop(nc):
+    rng = tm.CounterRng(1000 + nc)
+    na, nb = 30, 40
+    cases = []
+    for density in (0.01, 0.05, 0.2, 0.5):
+        g = tm.random_tripartite(rng, na, nb, nc, density)
+        for k in (1, 2, 3):
+            parts = [_random_subset(rng, m, k) for m in (na, nb, nc)]
+            cases.append(tm.SubInstance(g, *parts))
+    # the view's only triangle: its last A-vertex, that vertex's last B-neighbour, last C
+    g = tm.random_tripartite(rng, na, nb, nc, 0.3)
+    ia, ib, ic = np.arange(0, na, 2), np.arange(1, nb, 3), np.arange(0, nc, 2)
+    g.bc.words2d[ib] &= ~pack_index_mask(ic, nc)
+    a, b, c = int(ia[-1]), int(ib[-1]), int(ic[-1])
+    g.ab.set(a, b)
+    g.ac.set(a, c)
+    g.bc.set(b, c)
+    for other in ia[:-1]:
+        g.ac.set(int(other), c, False)
+    last = tm.SubInstance(g, ia, ib, ic)
+    cases.append(last)
+    found = 0
+    for sub in cases:
+        got_stats, ref_stats = tm.RunStats(), tm.RunStats()
+        got = tm.exhaustive_search(sub.g, sub, got_stats)
+        assert got == _leaf_pair_loop(sub.g, sub, ref_stats)
+        assert got.found == tm.brute_triangle(sub.g, sub).found
+        assert got_stats == ref_stats
+        found += got.found
+    assert 0 < found < len(cases)
+    assert got.witness == (a, b, c)
+    assert got_stats.triples_enumerated == last.na * last.nb * last.nc
 
 
 def test_charge_ledger_flags_duplicates():

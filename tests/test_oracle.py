@@ -19,6 +19,9 @@ def test_brute_triangle_respects_views(single_triangle):
     g = complete_tripartite(4, 4, 4)
     sub = tm.SubInstance(g, [2, 3], [1, 3], [3])
     assert tm.brute_triangle(g, sub).witness == (2, 1, 3)
+    # a view over a full 64-bit word (index arrays are int64)
+    g = complete_tripartite(2, 2, 64)
+    assert tm.brute_triangle(g, tm.SubInstance(g, [1], [1], [62, 63])).witness == (1, 1, 62)
 
     g = single_triangle
     assert tm.brute_triangle(g, tm.SubInstance(g, [0], [0], [0])).witness == (0, 0, 0)

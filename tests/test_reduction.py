@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 import trimat as tm
-from trimat.bitmat import first_set_bit
 from trimat.reduction import _icbrt_ceil, default_detector
 
-from .conftest import assert_witness_valid
+from .conftest import assert_witness_valid, first_set_bit
 
 
 def counting_detector(inner):
     calls = {"n": 0}
 
-    def handle(g, stats):
+    def handle(g, sub, stats):
         calls["n"] += 1
-        return inner(g, stats)
+        return inner(g, sub, stats)
 
     return handle, calls
 
@@ -81,11 +80,11 @@ def test_output_is_detector_agnostic():
     b = tm.random_bitmatrix(rng, n, n, 0.3)
     spec = tm.BlockSpec(n, 4)
 
-    def brute_adapter(g, stats):
-        return tm.brute_triangle(g)
+    def brute_adapter(g, sub, stats):
+        return tm.brute_triangle(g, sub)
 
-    def sparse_adapter(g, stats):
-        return tm.sparse_detect(g, g.full_view(), tm.SparseParams(1), stats)
+    def sparse_adapter(g, sub, stats):
+        return tm.sparse_detect(g, sub, tm.SparseParams(1), stats)
 
     outs = [
         tm.bmm_via_triangle(a, b, spec, det)
@@ -97,9 +96,39 @@ def test_output_is_detector_agnostic():
 
 def test_non_square_rejected():
     with pytest.raises(ValueError):
-        tm.bmm_via_triangle(tm.BitMatrix(3, 4), tm.BitMatrix(4, 3))
+        tm.bmm_via_triangle(tm.BitMatrix(3, 4), tm.BitMatrix(3, 4))
     with pytest.raises(ValueError):
         tm.bmm_via_triangle(tm.BitMatrix(3, 3), tm.BitMatrix(3, 3), tm.BlockSpec(4, 2))
+
+
+RECTANGULAR_SHAPES = [
+    (0, 3, 2), (3, 0, 2), (1, 1, 5), (2, 3, 2), (5, 1, 7), (7, 9, 3), (13, 5, 30), (40, 17, 6),
+]
+
+
+@pytest.mark.parametrize("rows, inner, cols", RECTANGULAR_SHAPES)
+def test_rectangular_products_match_scalar_oracle(rows, inner, cols):
+    rng = tm.CounterRng(rows * 10_000 + inner * 100 + cols)
+    n = max(rows, inner, cols)
+    for density in (0.2, 0.6):
+        a = tm.random_bitmatrix(rng, rows, inner, density)
+        b = tm.random_bitmatrix(rng, inner, cols, density)
+        expect = tm.multiply_scalar_oracle(a, b)
+        assert tm.bmm_via_triangle(a, b) == expect
+        for t in sorted({1, min(2, n), min(3, n), min(7, n), n}):
+            got = tm.bmm_via_triangle(a, b, tm.BlockSpec(n, t))
+            assert (got.rows, got.cols) == (rows, cols)
+            assert got == expect
+
+
+def test_inputs_are_left_unchanged():
+    rng = tm.CounterRng(229)
+    a = tm.random_bitmatrix(rng, 17, 23, 0.3)
+    b = tm.random_bitmatrix(rng, 23, 11, 0.3)
+    a_before, b_before = a.copy(), b.copy()
+    out = tm.bmm_via_triangle(a, b, tm.BlockSpec(23, 4))
+    assert out.count() > 0
+    assert np.array_equal(a.data, a_before.data) and np.array_equal(b.data, b_before.data)
 
 
 def test_triangle_via_bmm_trivial(single_triangle):
