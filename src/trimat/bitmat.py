@@ -250,6 +250,8 @@ def parse_matrix_text(text: str) -> BitMatrix:
         raise FormatError(1, f"non-integer dimensions in header {lines[0]!r}") from None
     if rows < 0 or cols < 0:
         raise FormatError(1, "dimensions must be non-negative")
+    if not indexable(rows, cols):
+        raise FormatError(1, f"dimensions too large to index in header {lines[0]!r}")
     if len(lines) < rows + 1:
         raise FormatError(len(lines) + 1, f"expected {rows} data rows, found {len(lines) - 1}")
     body = lines[1 : rows + 1]

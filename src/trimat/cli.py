@@ -1,8 +1,8 @@
 """Command-line harness: detect, multiply, verify, bench, stats-demo.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors,
-3 resource limits (a pair table over its entry budget, or an allocation
-that fails with MemoryError).
+Exit codes: 0 success, 1 verification failure or an internal error,
+2 usage or parse errors, 3 resource limits (a pair table over its entry
+budget, or an allocation that fails with MemoryError).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 
 from . import bitmat, detector, framework, oracle, reduction
 from . import four_russians as fr
@@ -36,6 +37,20 @@ VERIFY_DENSITIES = (0.02, 0.1, 0.3, 0.7, 1.0)
 
 class UsageError(Exception):
     """Bad flag values detected after argparse (exit code 2)."""
+
+
+def _require_at_least_one(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+
+
+def _split_list(text: str, convert, flag: str) -> list:
+    try:
+        return [convert(s) for s in text.split(",") if s]
+    except ValueError:
+        raise UsageError(f"{flag} needs a comma-separated list, got {text!r}") from None
 
 
 def _read(path: str) -> str:
@@ -66,6 +81,7 @@ def _run_detect_algo(algo: str, g: TripartiteGraph, delta: int,
 
 
 def cmd_detect(args) -> int:
+    _require_at_least_one(args, "delta", "small_threshold")
     text = _read(args.graph)
     g = parse_general_graph_text(text) if args.general else parse_graph_text(text)
     stats = RunStats()
@@ -84,12 +100,16 @@ def cmd_detect(args) -> int:
 def cmd_multiply(args) -> int:
     a = bitmat.parse_matrix_text(_read(args.a))
     b = bitmat.parse_matrix_text(_read(args.b))
+    if a.cols != b.rows:
+        raise UsageError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if args.algo == "bitpacked":
         out = bitmat.multiply_bitpacked(a, b)
     elif args.algo == "scalar":
         out = oracle.multiply_scalar_oracle(a, b)
     else:
         n = reduction.product_side(a, b)
+        if args.block and n and not 1 <= args.block <= n:
+            raise UsageError(f"block side must lie in [1, {n}], got {args.block}")
         spec = reduction.BlockSpec(n, args.block) if args.block else None
         out = reduction.bmm_via_triangle(a, b, spec)
     with open(args.out, "w", encoding="ascii") as fh:
@@ -172,9 +192,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    densities = [float(d) for d in args.densities.split(",") if d]
+    _require_at_least_one(args, "delta")
+    sizes = _split_list(args.sizes, int, "--sizes")
+    densities = _split_list(args.densities, float, "--densities")
     algos = [a for a in args.algos.split(",") if a]
+    if any(n < 0 for n in sizes):
+        raise UsageError(f"--sizes must be non-negative, got {args.sizes!r}")
+    if not all(0.0 <= d <= 1.0 for d in densities):
+        raise UsageError(f"--densities must lie in [0, 1], got {args.densities!r}")
     for algo in algos:
         if algo not in DETECT_ALGOS:
             raise UsageError(f"unknown algorithm {algo!r}, choose from {','.join(DETECT_ALGOS)}")
@@ -196,6 +221,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_stats_demo(args) -> int:
+    _require_at_least_one(args, "delta")
     g = parse_graph_text(_read(args.graph))
     cfg = detector.DetectorConfig(delta=args.delta, debug_charge_check=True)
     stats = RunStats()
@@ -259,10 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TableBudgetError, MemoryError) as exc:
@@ -270,6 +293,10 @@ def main(argv=None) -> int:
         return 3
     except TrimatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a bug, not bad input: never reported as a parse error
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
 
 

@@ -9,6 +9,7 @@ detectors only ever creates views; adjacency is never copied.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass, fields
 
@@ -20,6 +21,7 @@ from .errors import FormatError
 PAIR_AB = "AB"
 PAIR_AC = "AC"
 PAIR_BC = "BC"
+_PAIRS = (PAIR_AB, PAIR_AC, PAIR_BC)
 PART_B = "B"
 PART_C = "C"
 
@@ -87,7 +89,7 @@ def from_edge_list(nA: int, nB: int, nC: int, edges) -> TripartiteGraph:
     The matrices are allocated only after the last edge is read, so a
     generator that validates its input rejects it before any allocation.
     """
-    coords = {pair: (array("q"), array("q")) for pair in (PAIR_AB, PAIR_AC, PAIR_BC)}
+    coords = {pair: (array("q"), array("q")) for pair in _PAIRS}
     for pair, i, j in edges:
         if pair not in coords:
             raise ValueError(f"unknown part pair {pair!r}")
@@ -213,6 +215,17 @@ def from_general_graph(n: int, edges) -> TripartiteGraph:
 # Tripartite: line 1 "nA nB nC"; then lines "P i j" with P in {AB, AC, BC}.
 # General: line 1 "n"; then lines "i j", one per undirected edge.
 # In both, blank lines are ignored and '#' starts a comment.
+# format_graph_text writes the canonical form: single spaces, decimal
+# digits, no comments or blank lines, and a newline after every line.
+
+_CANONICAL_HEADER = re.compile(r"[0-9]{1,19} [0-9]{1,19} [0-9]{1,19}")
+_WINDOW = 1 << 18  # characters per bulk pass, cut back to a line end
+_MAX_DIGITS = 9  # longest endpoint the bulk pass decodes, so every value fits int32
+_NL, _SP, _ZERO = ord("\n"), ord(" "), ord("0")
+# pair id of the two bytes of a pair name read as one big-endian uint16; 3 = unknown
+_PAIR_IDS = np.full(1 << 16, len(_PAIRS), dtype=np.uint8)
+_PAIR_IDS[[ord(p[0]) << 8 | ord(p[1]) for p in _PAIRS]] = np.arange(len(_PAIRS))
+
 
 def _content_lines(text: str):
     """(line number, raw line, fields) for every line with content."""
@@ -223,6 +236,17 @@ def _content_lines(text: str):
 
 
 def parse_graph_text(text: str) -> TripartiteGraph:
+    """Parse the tripartite format.
+
+    Canonical text is read in bulk; anything else, including every text
+    with an error, is read by the line parser, which alone raises.
+    """
+    g = _parse_canonical(text)
+    return g if g is not None else _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> TripartiteGraph:
+    """The line parser: any valid text, and a FormatError naming the first bad line."""
     lines = _content_lines(text)
     first = next(lines, None)
     if first is None:
@@ -254,6 +278,82 @@ def parse_graph_text(text: str) -> TripartiteGraph:
             yield parts[0], i, j
 
     return from_edge_list(na, nb, nc, edges())
+
+
+def _parse_canonical(text: str) -> TripartiteGraph | None:
+    """The graph of a text in canonical form with every endpoint in range, else None.
+
+    The body is read in windows of about _WINDOW characters, each cut after
+    a newline, so the per-byte arrays stay small whatever the file size.
+    Every line of every window is checked before any matrix is allocated.
+    Nothing here raises for bad input: a comment, a blank line, any other
+    whitespace, a sign, an endpoint longer than _MAX_DIGITS digits or out
+    of range, or a missing final newline all give None.
+    """
+    end = text.find("\n")
+    if end < 0 or not _CANONICAL_HEADER.fullmatch(text, 0, end):
+        return None
+    na, nb, nc = (int(p) for p in text[:end].split(" "))
+    shapes = ((na, nb), (na, nc), (nb, nc))
+    if not all(indexable(*shape) for shape in shapes):
+        return None
+    rows, cols = (np.array(sides, dtype=np.int64) for sides in zip(*shapes))
+    windows = []
+    start = end + 1
+    while start < len(text):
+        stop = len(text)
+        if stop - start > _WINDOW:
+            stop = text.rfind("\n", start, start + _WINDOW) + 1
+        window = _canonical_lines(text[start:stop], rows, cols) if stop > start else None
+        if window is None:
+            return None
+        windows.append(window)
+        start = stop
+    empty = np.zeros(0, dtype=np.int32)
+    pair, i, j = (np.concatenate(parts) for parts in zip(*windows)) if windows else (empty,) * 3
+    return TripartiteGraph(na, nb, nc, *(
+        BitMatrix.from_coords(r, c, i[pair == k], j[pair == k])
+        for k, (r, c) in enumerate(shapes)
+    ))
+
+
+def _canonical_lines(window: str, rows: np.ndarray, cols: np.ndarray):
+    """(pair id, i, j) arrays for a window of whole canonical lines, else None.
+
+    rows[k] and cols[k] are the sides of pair k's matrix.
+    """
+    buf = np.frombuffer(window.encode("ascii", "replace"), dtype=np.uint8)
+    if buf[-1] != _NL:
+        return None
+    nl = np.flatnonzero(buf == _NL)
+    sp = np.flatnonzero(buf == _SP)
+    if len(sp) != 2 * len(nl):
+        return None
+    s1, s2 = sp[0::2], sp[1::2]
+    # the first space at offset 2 of its line puts exactly two spaces on every line
+    if s1[0] != 2 or np.any(s1[1:] != nl[:-1] + 3):
+        return None
+    wi, wj = s2 - s1 - 1, nl - s2 - 1
+    if min(wi.min(), wj.min()) < 1 or max(wi.max(), wj.max()) > _MAX_DIGITS:
+        return None
+    pair = _PAIR_IDS[buf[s1 - 2].astype(np.uint16) << 8 | buf[s1 - 1]]
+    # pair names, spaces and newlines are 5 non-digits a line; any more is in a field
+    if np.any(pair == len(_PAIRS)) or np.count_nonzero(buf - _ZERO > 9) != 5 * len(nl):
+        return None
+    i, j = _decimal_fields(buf, s2, wi), _decimal_fields(buf, nl, wj)
+    if np.any(i >= rows[pair]) or np.any(j >= cols[pair]):
+        return None
+    return pair, i, j
+
+
+def _decimal_fields(buf: np.ndarray, end: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Values of the digit fields buf[end - width : end], right-aligned, as int32."""
+    value = np.zeros(len(end), dtype=np.int32)
+    for k in range(1, int(width.max()) + 1):
+        # bytes left of a shorter field (or wrapped to the window's end) are masked out
+        digit = np.where(width >= k, buf[end - k] - _ZERO, 0)
+        value += digit * np.int32(10 ** (k - 1))
+    return value
 
 
 def parse_general_graph_text(text: str) -> TripartiteGraph:
@@ -288,8 +388,29 @@ def parse_general_graph_text(text: str) -> TripartiteGraph:
 
 
 def format_graph_text(g: TripartiteGraph) -> str:
-    out = [f"{g.nA} {g.nB} {g.nC}\n"]
-    for pair, m in ((PAIR_AB, g.ab), (PAIR_AC, g.ac), (PAIR_BC, g.bc)):
-        ij = np.argwhere(m.bits()).ravel().tolist()  # i, j of every edge in row-major order
-        out.append((f"{pair} %d %d\n" * (len(ij) // 2)) % tuple(ij))
-    return "".join(out)
+    """The canonical text of g: the header, then every edge by pair, row-major."""
+    n = max(g.nA, g.nB, g.nC)
+    width = len(str(max(n - 1, 0)))
+    i_items, j_items = _decimal_items(n, width, _SP), _decimal_items(n, width, _NL)
+    record = np.dtype([("pair", "V3"), ("i", i_items.dtype), ("j", j_items.dtype)])
+    out = [f"{g.nA} {g.nB} {g.nC}\n".encode("ascii")]
+    for pair, m in zip(_PAIRS, (g.ab, g.ac, g.bc)):
+        i, j = np.divmod(np.flatnonzero(m.bits().view(bool)), m.cols)
+        lines = np.empty(len(i), dtype=record)
+        lines["pair"] = np.void(f"{pair} ".encode("ascii"))
+        lines["i"] = i_items[i]
+        lines["j"] = j_items[j]
+        chars = lines.view(np.uint8)
+        out.append(chars[chars != 0].tobytes())  # zero bytes pad the shorter numbers
+    return b"".join(out).decode("ascii")
+
+
+def _decimal_items(n: int, width: int, end: int) -> np.ndarray:
+    """Item v: the decimal digits of v right-aligned in width bytes after zero bytes, then end."""
+    v = np.arange(n)
+    table = np.zeros((n, width + 1), dtype=np.uint8)
+    for k in range(width):
+        place = 10 ** (width - 1 - k)
+        table[:, k] = np.where((v >= place) | (place == 1), v // place % 10 + _ZERO, 0)
+    table[:, width] = end
+    return table.view(f"V{width + 1}").ravel()

@@ -58,16 +58,33 @@ class CounterRng:
         return (self.next_u64() * n) >> 64
 
     def next_block(self, count: int) -> np.ndarray:
-        """count consecutive stream values as a uint64 array, mixed in place by chunks."""
-        out = np.arange(self.cursor + 1, self.cursor + count + 1, dtype=np.uint64)
-        self.cursor += count
-        tmp = np.empty(min(count, _CHUNK), dtype=np.uint64)
-        for lo in range(0, count, _CHUNK):
-            x = out[lo : lo + _CHUNK]
-            x *= np.uint64(_GOLD)
-            x += np.uint64(self.seed)
-            _mix64_inplace(x, tmp[: len(x)])
+        """count consecutive stream values as a uint64 array."""
+        out = np.empty(count, dtype=np.uint64)
+        for lo, x in self._chunks(count):
+            out[lo : lo + len(x)] = x
         return out
+
+    def _chunks(self, count: int):
+        """Advance the cursor by count and return the skipped values by chunks.
+
+        The iterator yields (offset, values) for at most _CHUNK values at a
+        time, mixed in one reused buffer: use each chunk before the next.
+        """
+        first, seed = self.cursor + 1, self.seed
+        self.cursor += count
+        buf = np.empty(min(count, _CHUNK), dtype=np.uint64)
+        tmp = np.empty_like(buf)
+        # value first + lo + s mixes (first + lo + s) * _GOLD + seed: s * _GOLD plus a chunk constant
+        golden = np.arange(len(buf), dtype=np.uint64) * np.uint64(_GOLD)
+
+        def chunks():
+            for lo in range(0, count, _CHUNK):
+                x = buf[: min(_CHUNK, count - lo)]
+                np.add(golden[: len(x)], np.uint64(((first + lo) * _GOLD + seed) & _MASK), out=x)
+                _mix64_inplace(x, tmp[: len(x)])
+                yield lo, x
+
+        return chunks()
 
 
 def _density_threshold(density: float) -> int:
@@ -81,12 +98,13 @@ def random_bitmatrix(rng: CounterRng, rows: int, cols: int, density: float) -> B
     if rows == 0 or cols == 0:
         return BitMatrix(rows, cols)
     thr = _density_threshold(density)
-    if thr == 0:
+    bits = np.empty(rows * cols, dtype=bool)
+    if 0 < thr <= _MASK:
+        for lo, x in rng._chunks(rows * cols):
+            np.less(x, np.uint64(thr), out=bits[lo : lo + len(x)])
+    else:  # no value is below 0 and every value is below 2^64
         rng.cursor += rows * cols
-        return BitMatrix(rows, cols)
-    bits = rng.next_block(rows * cols) < np.uint64(min(thr, _MASK))
-    if thr > _MASK:
-        bits[:] = True
+        bits.fill(thr > 0)
     return BitMatrix.from_bits(bits.reshape(rows, cols))
 
 

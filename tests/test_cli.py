@@ -338,3 +338,46 @@ def test_stats_demo_reports_budget_error_not_violation(tmp_path, capsys, monkeyp
     assert code == 3
     assert "VIOLATED" not in out
     assert "lookup table would need 10 entries" in err
+
+
+def test_internal_value_error_exits_1_not_as_bad_input(tmp_path, capsys, monkeypatch):
+    from trimat import graph
+
+    def broken(*args):
+        raise ValueError("broken bulk pass")
+
+    monkeypatch.setattr(graph, "_canonical_lines", broken)
+    path = tmp_path / "tri.graph"
+    path.write_text(SINGLE_TRIANGLE)
+    code, out, err = run(capsys, ["detect", "--graph", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == "error: internal ValueError: broken bulk pass"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["detect", "--delta", "0"], "--delta must be at least 1"),
+        (["detect", "--small-threshold", "0"], "--small-threshold must be at least 1"),
+        (["multiply", "--a", "A23", "--b", "A23"], "dimension mismatch: 2x3 times 2x3"),
+        (["multiply", "--a", "A23", "--b", "B32", "--algo", "via-triangle", "--block", "4"],
+         "block side must lie in [1, 3], got 4"),
+        (["bench", "--sizes", "4,x", "--densities", "0.5", "--algos", "brute"], "--sizes"),
+        (["bench", "--sizes", "4", "--densities", "1.5", "--algos", "brute"], "--densities"),
+        (["bench", "--sizes", "-4", "--densities", "0.5", "--algos", "brute"], "--sizes"),
+    ],
+)
+def test_bad_flag_values_exit_2_before_any_output(tmp_path, capsys, argv, message):
+    (tmp_path / "A23").write_text("2 3\n011\n101\n")
+    (tmp_path / "B32").write_text("3 2\n01\n11\n10\n")
+    (tmp_path / "g").write_text(SINGLE_TRIANGLE)
+    argv = [str(tmp_path / a) if a in ("A23", "B32") else a for a in argv]
+    if argv[0] == "detect":
+        argv += ["--graph", str(tmp_path / "g")]
+    if argv[0] == "multiply":
+        argv += ["--out", str(tmp_path / "c")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err

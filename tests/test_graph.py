@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import trimat as tm
+from trimat import graph
 from trimat.graph import degrees_all
 
 from .conftest import scalar_triangle_exists
@@ -186,7 +189,12 @@ def _format_reference(g):
 
 
 @pytest.mark.parametrize(
-    "sizes", [(0, 1, 7), (1, 1, 1), (7, 63, 64), (65, 130, 1), (64, 0, 65), (5, 7, 0), (0, 0, 0)]
+    "sizes",
+    [
+        (0, 1, 7), (1, 1, 1), (7, 63, 64), (65, 130, 1), (64, 0, 65), (5, 7, 0), (0, 0, 0),
+        # decimal width boundaries of the largest endpoint
+        (10, 11, 1), (100, 101, 2), (1001, 1, 11),
+    ],
 )
 def test_edge_list_and_text_match_per_edge_references(sizes):
     na, nb, nc = sizes
@@ -222,3 +230,87 @@ def test_graph_text_names_first_offending_line():
         with pytest.raises(tm.FormatError) as err:
             tm.parse_graph_text(text)
         assert err.value.line_no == line
+
+
+# -- the bulk parser against the line parser --------------------------------
+
+
+def _outcome(parse, text):
+    """The parsed graph's sizes and matrices, or the FormatError's line and message."""
+    try:
+        g = parse(text)
+    except tm.FormatError as exc:
+        return "error", exc.line_no, str(exc)
+    return "graph", (g.nA, g.nB, g.nC), (g.ab, g.ac, g.bc)
+
+
+def _mutants(text, rng):
+    """(name, text) pairs, each a canonical text with one edge line or its end changed."""
+    head, body = text.split("\n", 1)
+    lines = body.splitlines(keepends=True)
+    k = rng.next_below(len(lines))
+    pair, i, j = lines[k].split()
+    big = str(max(int(x) for x in head.split()))  # out of range for every pair
+
+    def at(*new):
+        return "".join([head, "\n", *lines[:k], *new, *lines[k + 1 :]])
+
+    yield "comment line", at("# note\n", lines[k])
+    yield "trailing comment", at(f"{pair} {i} {j} # note\n")
+    yield "blank line", at("\n", lines[k])
+    yield "crlf", at(f"{pair} {i} {j}\r\n")
+    yield "tab", at(f"{pair}\t{i} {j}\n")
+    yield "double space", at(f"{pair} {i}  {j}\n")
+    yield "form feed", at(f"{pair} {i} {j}\x0c\n")
+    yield "leading zero", at(f"{pair} 0{i} {j}\n")
+    yield "plus sign", at(f"{pair} +{i} {j}\n")
+    yield "minus zero", at(f"{pair} {i} -0\n")
+    yield "20-digit endpoint", at(f"{pair} {'9' * 20} {j}\n")
+    yield "20-digit zero-padded endpoint", at(f"{pair} {i} {j.zfill(20)}\n")
+    yield "i out of range", at(f"{pair} {big} {j}\n")
+    yield "j out of range", at(f"{pair} {i} {big}\n")
+    yield "letter endpoint", at(f"{pair} {i} C\n")
+    yield "digit before the pair", at(f"1{pair} {i} {j}\n")
+    yield "lowercase pair", at(f"{pair.lower()} {i} {j}\n")
+    yield "reversed pair", at(f"{pair[::-1]} {i} {j}\n")
+    yield "two fields", at(f"{pair} {i}\n")
+    yield "four fields", at(f"{pair} {i} {j} 0\n")
+    yield "no final newline", text[:-1]
+    yield "digit after the final newline", text + "7"
+    yield "header only", head
+    yield "empty body", head + "\n"
+
+
+@pytest.mark.parametrize("window", [graph._WINDOW, 64])
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (0, 3, 4), (5, 1, 7), (12, 30, 9), (64, 65, 130)])
+def test_bulk_parser_agrees_with_the_line_parser(monkeypatch, window, sizes):
+    # a small window makes every text span many windows, cut at many line ends
+    monkeypatch.setattr(graph, "_WINDOW", window)
+    rng = tm.CounterRng(sum(sizes) + window)
+    g = tm.random_tripartite(rng, *sizes, 0.3)
+    if g.ab.count() + g.ac.count() + g.bc.count() == 0:
+        g.bc = tm.BitMatrix.from_coords(g.nB, g.nC, [g.nB - 1], [g.nC - 1])
+    text = tm.format_graph_text(g)
+    fast, slow = graph._parse_canonical(text), graph._parse_graph_lines(text)
+    assert fast is not None  # the canonical text must not fall back
+    assert (fast.ab, fast.ac, fast.bc) == (slow.ab, slow.ac, slow.bc)
+    for name, mutant in _mutants(text, rng):
+        expect = _outcome(graph._parse_graph_lines, mutant)
+        assert _outcome(tm.parse_graph_text, mutant) == expect, name
+
+
+def test_bulk_parse_peak_memory_is_at_most_the_line_parsers():
+    g = tm.random_tripartite(tm.CounterRng(3), 256, 256, 256, 0.45)
+    text = tm.format_graph_text(g)
+    assert text.count("\n") > 85_000 and len(text) > 3 * graph._WINDOW
+    assert graph._parse_canonical(text) is not None
+    peaks = []
+    for parse in (tm.parse_graph_text, graph._parse_graph_lines):
+        tracemalloc.start()
+        try:
+            got = parse(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (got.ab, got.ac, got.bc) == (g.ab, g.ac, g.bc)
+    assert peaks[0] <= peaks[1]
