@@ -48,9 +48,12 @@ print("\nsparse detection:", verdict)
 print("table queries used:", stats.table_queries)
 assert verdict.found == tm.brute_triangle(g).found
 
-# Bigger deltas explode the preprocessing cost; the budget guard refuses
-# instead of thrashing.
+# Bigger deltas explode the preprocessing cost; the budget guard refuses a
+# table over DEFAULT_TABLE_BUDGET entries on its estimate, before allocating.
+wide = tm.TripartiteGraph(1, 60, 60)
 try:
-    build_pair_table(g, sub.ib, sub.ic, tm.SparseParams(delta=3, max_table_entries=10**5))
+    build_pair_table(wide, np.arange(60), np.arange(60), tm.SparseParams(delta=3))
 except tm.TableBudgetError as exc:
-    print("\nbudget guard:", exc)
+    print("\nbudget guard at delta=3, 60 per part:", exc)
+else:
+    raise AssertionError("the budget guard did not fire")

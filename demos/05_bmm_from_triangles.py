@@ -13,25 +13,25 @@ n = 32
 a = tm.random_bitmatrix(rng, n, n, 0.15)
 b = tm.random_bitmatrix(rng, n, n, 0.15)
 
-spec = tm.BlockSpec.default_for(n)
-print(f"n = {n}: default block side t = {spec.t} "
-      f"({spec.blocks_per_side} blocks per side)")
+t = tm.default_block_side(n)
+blocks = -(-n // t)
+print(f"n = {n}: default block side t = {t} ({blocks} blocks per part)")
 
 calls = {"n": 0}
 def counting(g, sub, stats):
     calls["n"] += 1
     return default_detector()(g, sub, stats)
 
-out = tm.bmm_via_triangle(a, b, spec, counting)
+out = tm.bmm_via_triangle(a, b, t, counting)
 expect = tm.multiply_scalar_oracle(a, b)
 print("product matches scalar oracle:", out == expect)
-print(f"detector calls: {calls['n']} = {spec.blocks_per_side}^3 block triples "
+print(f"detector calls: {calls['n']} = {blocks}^3 block triples "
       f"+ {out.count()} discovered bits")
-assert calls["n"] == spec.blocks_per_side**3 + out.count()
+assert calls["n"] == blocks**3 + out.count()
 
 # Any correct detector gives the identical product; only the call pattern
 # inside each block changes.
-brute = tm.bmm_via_triangle(a, b, spec, lambda g, sub, s: tm.brute_triangle(g, sub))
+brute = tm.bmm_via_triangle(a, b, t, lambda g, sub, s: tm.brute_triangle(g, sub))
 print("detector-agnostic:", brute == out)
 
 # The converse direction: one Boolean product answers triangle detection.

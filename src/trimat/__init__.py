@@ -50,13 +50,12 @@ from .graph import (
 )
 from .oracle import brute_triangle, multiply_scalar_oracle
 from .randgen import CounterRng, random_bitmatrix, random_tripartite
-from .reduction import BlockSpec, bmm_via_triangle, triangle_via_bmm
+from .reduction import bmm_via_triangle, default_block_side, triangle_via_bmm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BitMatrix",
-    "BlockSpec",
     "ChargeLedger",
     "CounterRng",
     "DetectorConfig",
@@ -77,6 +76,7 @@ __all__ = [
     "brute_triangle",
     "build_pair_table",
     "check_degree_condition",
+    "default_block_side",
     "degree",
     "detect",
     "detect_with_finder",

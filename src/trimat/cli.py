@@ -33,6 +33,12 @@ from .randgen import CounterRng, random_bitmatrix, random_tripartite
 DETECT_ALGOS = ("recursive", "sparse", "framework", "bmm", "brute")
 MULTIPLY_ALGOS = ("bitpacked", "via-triangle", "scalar")
 VERIFY_DENSITIES = (0.02, 0.1, 0.3, 0.7, 1.0)
+# the deep configuration sends every non-empty view to the finder, so the
+# paper's recursion is checked and not only its exhaustive leaf
+DEEP_DETECT = detector.DetectorConfig(small_threshold=1, debug_charge_check=True)
+# products up to this side also run through the deep detector; larger ones
+# would make it the bulk of a verify run
+DEEP_MULTIPLY_MAX_SIDE = 8
 
 
 class UsageError(Exception):
@@ -108,10 +114,9 @@ def cmd_multiply(args) -> int:
         out = oracle.multiply_scalar_oracle(a, b)
     else:
         n = reduction.product_side(a, b)
-        if args.block and n and not 1 <= args.block <= n:
+        if args.block is not None and n and not 1 <= args.block <= n:
             raise UsageError(f"block side must lie in [1, {n}], got {args.block}")
-        spec = reduction.BlockSpec(n, args.block) if args.block else None
-        out = reduction.bmm_via_triangle(a, b, spec)
+        out = reduction.bmm_via_triangle(a, b, args.block)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(bitmat.format_matrix_text(out))
     return 0
@@ -125,14 +130,11 @@ def _verify_graph_trial(rng: CounterRng, max_size: int, trial: int) -> str | Non
     density = VERIFY_DENSITIES[rng.next_below(len(VERIFY_DENSITIES))]
     g = random_tripartite(rng, na, nb, nc, density)
     expected = oracle.brute_triangle(g)
-    # the deep configurations send every non-empty view to the finder, so the
-    # paper's recursion is checked and not only its exhaustive leaf
     finder = framework.high_degree_finder(2)
-    deep = detector.DetectorConfig(small_threshold=1, debug_charge_check=True)
     deep_fw = framework.FrameworkConfig(small_volume_threshold=1, debug_verify_finder=True)
     runs = [
         ("recursive", lambda: detector.detect(g, None, RunStats())),
-        ("recursive-deep", lambda: detector.detect(g, deep, RunStats())),
+        ("recursive-deep", lambda: detector.detect(g, DEEP_DETECT, RunStats())),
         ("bmm", lambda: reduction.triangle_via_bmm(g)),
         ("framework", lambda: framework.detect_with_finder(g, finder, None, RunStats())),
         ("framework-deep", lambda: framework.detect_with_finder(g, finder, deep_fw, RunStats())),
@@ -170,9 +172,16 @@ def _verify_multiply_trial(rng: CounterRng, max_size: int, trial: int) -> str | 
     if bitmat.multiply_bitpacked(a, b) != expected:
         return f"trial {trial}: bitpacked product mismatch at n={n}"
     t = 1 + rng.next_below(max(1, min(n, 4)))
-    got = reduction.bmm_via_triangle(a, b, reduction.BlockSpec(n, t))
-    if got != expected:
-        return f"trial {trial}: via-triangle product mismatch at n={n}, t={t}"
+    runs = [("via-triangle", None)]
+    if n <= DEEP_MULTIPLY_MAX_SIDE:
+        runs.append(("via-triangle-deep", reduction.default_detector(DEEP_DETECT)))
+    for name, handle in runs:
+        try:
+            got = reduction.bmm_via_triangle(a, b, t, handle)
+        except (InvariantError, FinderContractError) as exc:
+            return f"trial {trial}: {name} raised {exc!r} at n={n}, t={t}"
+        if got != expected:
+            return f"trial {trial}: {name} product mismatch at n={n}, t={t}"
     return None
 
 

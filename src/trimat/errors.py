@@ -21,8 +21,8 @@ class TableBudgetError(TrimatError):
     """Building a subset-pair lookup table would exceed the entry budget.
 
     The table grows with delta, which sets both the group size delta**3 and
-    the largest subset size.  The fix is on the caller's side: reduce delta,
-    or raise max_table_entries explicitly.
+    the largest subset size, while the budget is a fixed constant.  The fix
+    is on the caller's side: reduce delta.
     """
 
     def __init__(self, estimated_entries: int, budget: int):
@@ -30,7 +30,7 @@ class TableBudgetError(TrimatError):
         self.budget = budget
         super().__init__(
             f"lookup table would need {estimated_entries} entries, budget is "
-            f"{budget}; reduce delta or raise max_table_entries"
+            f"{budget}; reduce delta"
         )
 
 

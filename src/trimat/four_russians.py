@@ -32,23 +32,20 @@ from .bitmat import first_set_bit_2d, pack_index_mask, unpack_word_indices
 from .errors import InvariantError, TableBudgetError
 from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, degrees_all
 
-DEFAULT_TABLE_BUDGET = 1 << 25
+DEFAULT_TABLE_BUDGET = 1 << 25  # table entries, one bool byte each: 32 MiB
 
 
 @dataclass
 class SparseParams:
-    """Tuning knobs for the sparse detector.
+    """Tuning knob for the sparse detector.
 
     delta is the chunk-size parameter: groups hold delta**3 positions and
     table subsets at most delta of them.  The asymptotically prescribed
     value is below 1 at any feasible input size, so it is a plain tuning
-    knob here, clamped to at least 1.  max_table_entries aborts table
-    builds that would blow the memory budget.
+    knob here, clamped to at least 1.
     """
 
     delta: int = 2
-    max_table_entries: int = DEFAULT_TABLE_BUDGET
-    check_precondition: bool = False
 
     def __post_init__(self):
         self.delta = max(1, int(self.delta))
@@ -168,7 +165,6 @@ class PairTable:
     docstring.  Immutable after build; sharing across threads is safe.
     """
 
-    params: SparseParams
     entries: np.ndarray
 
     def __len__(self) -> int:
@@ -184,17 +180,19 @@ def build_pair_table(
     time, the group's B-C rows are unpacked at the view's C columns, the
     rows of each B-subset are ORed, and the result is gathered at the
     members of every C-subset.  No temporary outgrows one group's rows of
-    the table, so peak memory stays close to the table itself.
+    the table, so peak memory stays close to the table itself.  A table
+    estimated above DEFAULT_TABLE_BUDGET entries is refused before any
+    allocation.
     """
     ib = np.asarray(ib, dtype=np.int64)
     ic = np.asarray(ic, dtype=np.int64)
     estimate = estimate_table_entries(len(ib), len(ic), params)
-    if estimate > params.max_table_entries:
-        raise TableBudgetError(estimate, params.max_table_entries)
+    if estimate > DEFAULT_TABLE_BUDGET:
+        raise TableBudgetError(estimate, DEFAULT_TABLE_BUDGET)
 
     delta, gs = params.delta, params.group_size
     members_c = slot_members(len(ic), delta)
-    table = PairTable(params, np.zeros((_side_slots(len(ib), delta), len(members_c)), dtype=bool))
+    table = PairTable(np.zeros((_side_slots(len(ib), delta), len(members_c)), dtype=bool))
     offsets = _slot_offsets(delta, min(len(ib), gs))
     for lo in range(0, len(table.entries), len(offsets)):
         start = lo // len(offsets) * gs
@@ -219,14 +217,10 @@ def sparse_detect(
     """Detect a triangle in a view whose A-degrees satisfy the Step-1 bound.
 
     The verdict is correct on any input; the degree bound only governs the
-    running time.  Set params.check_precondition to verify it anyway.
+    running time, and callers check it with check_degree_condition.
     Each A-vertex's chunk pairs are queried in row-major order up to the
     first hit, and table_queries counts exactly those queries.
     """
-    if params.check_precondition:
-        bad = check_degree_condition(g, sub, params.delta)
-        if bad is not None:
-            raise InvariantError(f"degree condition violated by A-vertex {bad}")
     if table is None:
         table = build_pair_table(g, sub.ib, sub.ic, params)
     stats.sparse_calls += 1

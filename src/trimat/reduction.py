@@ -14,7 +14,6 @@ bounds the number of calls.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,26 +35,9 @@ def _icbrt_ceil(n: int) -> int:
     return t
 
 
-@dataclass
-class BlockSpec:
-    """Block decomposition of a product with n = product_side(a, b): side t per block."""
-
-    n: int
-    t: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("matrix dimension must be non-negative")
-        if self.n > 0 and not 1 <= self.t <= self.n:
-            raise ValueError(f"block side must lie in [1, {self.n}], got {self.t}")
-
-    @property
-    def blocks_per_side(self) -> int:
-        return -(-self.n // self.t) if self.n else 0
-
-    @classmethod
-    def default_for(cls, n: int) -> "BlockSpec":
-        return cls(n, max(1, min(n, _icbrt_ceil(n)))) if n else cls(0, 1)
+def default_block_side(n: int) -> int:
+    """ceil(n ** (1/3)) clamped to [1, n], and 1 for an empty product."""
+    return max(1, min(n, _icbrt_ceil(n)))
 
 
 def default_detector(cfg: DetectorConfig | None = None) -> DetectorHandle:
@@ -70,7 +52,7 @@ def product_side(a: BitMatrix, b: BitMatrix) -> int:
 def bmm_via_triangle(
     a: BitMatrix,
     b: BitMatrix,
-    spec: BlockSpec | None = None,
+    t: int | None = None,
     detector: DetectorHandle | None = None,
     stats: RunStats | None = None,
 ) -> BitMatrix:
@@ -79,17 +61,18 @@ def bmm_via_triangle(
     Any correct tripartite triangle detector with witness reporting can be
     plugged in; the output is the same for all of them.  a and b become
     the graph's A-B and B-C matrices as they are, and are left unchanged.
+    Blocks have side t, by default default_block_side(product_side(a, b)).
     """
     n = product_side(a, b)
-    spec = spec or BlockSpec.default_for(n)
-    if spec.n != n:
-        raise ValueError(f"block spec is for n={spec.n}, the product needs n={n}")
+    if t is None or n == 0:  # an empty product has no blocks to size
+        t = default_block_side(n)
+    elif not 1 <= t <= n:
+        raise ValueError(f"block side must lie in [1, {n}], got {t}")
     detector = detector or default_detector()
     stats = stats if stats is not None else RunStats()
 
     ones = BitMatrix(a.rows, b.cols).complement()
     g = TripartiteGraph(a.rows, a.cols, b.cols, ab=a, ac=ones, bc=b)
-    t = spec.t
     cuts = [[np.arange(s, min(s + t, m)) for s in range(0, m, t)] for m in (g.nA, g.nB, g.nC)]
     for ia, ib, ic in itertools.product(*cuts):
         while True:

@@ -79,7 +79,7 @@ def test_c2_bmm_matches_oracle():
         kind = t_choices[i % 4]
         n = 1 + rng.next_below(caps[kind])
         if kind == "cbrt":
-            t = tm.BlockSpec.default_for(n).t
+            t = tm.default_block_side(n)
         else:
             t = min(int(kind), n)
         density = DENSITIES[rng.next_below(len(DENSITIES))]
@@ -89,7 +89,7 @@ def test_c2_bmm_matches_oracle():
         trials += 1
         if tm.multiply_bitpacked(a, b) != expect:
             mismatches += 1
-        if tm.bmm_via_triangle(a, b, tm.BlockSpec(n, t)) != expect:
+        if tm.bmm_via_triangle(a, b, t) != expect:
             mismatches += 1
     _report(
         mismatches == 0 and trials >= 200,

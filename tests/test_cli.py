@@ -171,6 +171,44 @@ def test_verify_runs_the_finder_in_every_graph_trial(capsys, monkeypatch):
     assert all(c["detect"] >= 1 and c["framework"] >= 1 for c in per_trial)
 
 
+def test_verify_runs_the_finder_in_multiply_trials(capsys, monkeypatch):
+    from trimat import detector
+
+    calls = {"n": 0}
+    make_finder = detector.high_degree_finder
+
+    def counting(*args, **kwargs):
+        finder = make_finder(*args, **kwargs)
+
+        def counted(g, sub, stats):
+            calls["n"] += 1
+            return finder(g, sub, stats)
+
+        return counted
+
+    monkeypatch.setattr(detector, "high_degree_finder", counting)
+    monkeypatch.setattr(cli, "_verify_graph_trial", lambda *args: None)
+    code, _, _ = run(capsys, ["verify", "--seed", "7", "--trials", "40", "--max-size", "24"])
+    assert code == 0
+    assert calls["n"] > 0
+
+
+def test_verify_catches_a_faulty_finder_in_a_multiply_trial(capsys, monkeypatch):
+    from trimat import detector
+
+    def blind_finder(*args, **kwargs):
+        # settles every view as triangle-free without looking at it
+        return lambda g, sub, stats: detector.FinderResult(sub.ia, sub.ib, sub.ic, True)
+
+    monkeypatch.setattr(detector, "high_degree_finder", blind_finder)
+    monkeypatch.setattr(cli, "_verify_graph_trial", lambda *args: None)
+    code, out, _ = run(capsys, ["verify", "--seed", "7", "--trials", "40", "--max-size", "24"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "FAIL"
+    assert "via-triangle-deep product mismatch" in lines[2]
+
+
 def test_verify_catches_step4_scan_skipping_its_last_row(capsys, monkeypatch):
     from trimat import detector
 
@@ -181,7 +219,9 @@ def test_verify_catches_step4_scan_skipping_its_last_row(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert lines[1] == "FAIL"
-    assert lines[2].startswith("trial 9: recursive-deep said False, brute force said True")
+    # multiply trial 6 (n=7) runs the recursion past its leaf and meets the
+    # mutant before graph trial 9's recursive-deep check does
+    assert lines[2] == "trial 6: via-triangle-deep product mismatch at n=7, t=2"
 
 
 def test_verify_reports_library_errors_as_a_failed_trial(capsys, monkeypatch):
@@ -366,6 +406,8 @@ def test_internal_value_error_exits_1_not_as_bad_input(tmp_path, capsys, monkeyp
         (["bench", "--sizes", "4,x", "--densities", "0.5", "--algos", "brute"], "--sizes"),
         (["bench", "--sizes", "4", "--densities", "1.5", "--algos", "brute"], "--densities"),
         (["bench", "--sizes", "-4", "--densities", "0.5", "--algos", "brute"], "--sizes"),
+        (["multiply", "--a", "A23", "--b", "B32", "--algo", "via-triangle", "--block", "0"],
+         "block side must lie in [1, 3], got 0"),
     ],
 )
 def test_bad_flag_values_exit_2_before_any_output(tmp_path, capsys, argv, message):

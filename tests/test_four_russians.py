@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import trimat as tm
 from trimat.bitmat import pack_index_mask
 from trimat.four_russians import (
+    DEFAULT_TABLE_BUDGET,
     build_pair_table,
     chunk_slots,
     estimate_table_entries,
@@ -18,9 +19,8 @@ from trimat.four_russians import (
 from .conftest import assert_witness_valid, complete_tripartite, subsets_in_slot_order
 
 
-def exhaustive_pair_check(g, ib, ic, table):
+def exhaustive_pair_check(g, ib, ic, table, delta):
     """Every table entry vs a scalar double loop over the two subsets."""
-    delta = table.params.delta
     subsets_b = subsets_in_slot_order(len(ib), delta)
     subsets_c = subsets_in_slot_order(len(ic), delta)
     assert table.entries.shape == (len(subsets_b), len(subsets_c))
@@ -94,15 +94,17 @@ def test_pair_table_random_matches_exhaustive_check():
     g = tm.random_tripartite(rng, 1, 40, 40, 0.08)
     ib, ic = np.arange(40), np.arange(40)
     table = build_pair_table(g, ib, ic, tm.SparseParams(delta=2))
-    assert exhaustive_pair_check(g, ib, ic, table) == 0
+    assert exhaustive_pair_check(g, ib, ic, table, 2) == 0
 
 
 def test_pair_table_budget_error():
-    params = tm.SparseParams(delta=3, max_table_entries=1000)
+    # 60 = 27 + 27 + 6 positions per side: (2*3304 + 42)**2 > 2**25 entries at delta=3
+    params = tm.SparseParams(delta=3)
     g = tm.TripartiteGraph(1, 60, 60)
     with pytest.raises(tm.TableBudgetError) as err:
         build_pair_table(g, np.arange(60), np.arange(60), params)
-    assert err.value.estimated_entries > 1000
+    assert err.value.estimated_entries == 44_222_500 > DEFAULT_TABLE_BUDGET
+    assert err.value.budget == DEFAULT_TABLE_BUDGET
     assert estimate_table_entries(60, 60, params) == err.value.estimated_entries
 
 
@@ -156,7 +158,7 @@ def test_sparse_detect_no_bc_edges():
 def test_sparse_detect_matches_brute_force_when_precondition_holds():
     rng = tm.CounterRng(83)
     checked = 0
-    params = tm.SparseParams(delta=2, check_precondition=True)
+    params = tm.SparseParams(delta=2)
     while checked < 40:
         na, nb, nc = (1 + rng.next_below(60) for _ in range(3))
         g = tm.random_tripartite(rng, na, nb, nc, 0.05)
@@ -222,13 +224,6 @@ def test_sparse_detect_witness_matches_chunk_rescan(nc, delta):
     assert got.witness == (5, sub.ib[-1], sub.ic[-1])
     assert any(not tm.sparse_detect(g, sub, tm.SparseParams(delta), tm.RunStats()).found
                for g, sub in cases)
-
-
-def test_sparse_detect_precondition_check_fires():
-    g = complete_tripartite(8, 8, 8)
-    params = tm.SparseParams(delta=2, check_precondition=True)
-    with pytest.raises(tm.InvariantError):
-        tm.sparse_detect(g, g.full_view(), params, tm.RunStats())
 
 
 def test_sparse_detect_is_deterministic():
@@ -302,4 +297,4 @@ def test_large_delta_on_a_small_view():
         table = build_pair_table(g, np.arange(6), np.arange(6), tm.SparseParams(delta))
         side = sum(comb(6, k) for k in range(min(delta, 6) + 1))
         assert table.entries.shape == (side, side)
-        assert exhaustive_pair_check(g, np.arange(6), np.arange(6), table) == 0
+        assert exhaustive_pair_check(g, np.arange(6), np.arange(6), table, delta) == 0

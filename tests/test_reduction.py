@@ -17,27 +17,29 @@ def counting_detector(inner):
     return handle, calls
 
 
-def test_block_spec_defaults():
-    assert tm.BlockSpec.default_for(64).t == 4
-    assert tm.BlockSpec.default_for(27).t == 3
-    assert tm.BlockSpec.default_for(28).t == 4
-    assert tm.BlockSpec.default_for(1).t == 1
+def test_default_block_side():
+    assert tm.default_block_side(64) == 4
+    assert tm.default_block_side(27) == 3
+    assert tm.default_block_side(28) == 4
+    assert tm.default_block_side(1) == 1
     for n in range(1, 300):
         t = _icbrt_ceil(n)
         assert (t - 1) ** 3 < n <= t**3
 
 
-def test_block_spec_validation():
+def test_block_side_validation():
     with pytest.raises(ValueError):
-        tm.BlockSpec(4, 0)
+        tm.bmm_via_triangle(tm.BitMatrix(4, 4), tm.BitMatrix(4, 4), 0)
     with pytest.raises(ValueError):
-        tm.BlockSpec(4, 5)
+        tm.bmm_via_triangle(tm.BitMatrix(4, 4), tm.BitMatrix(4, 4), 5)
+    # an empty product has no blocks, so no block side is out of range
+    assert tm.bmm_via_triangle(tm.BitMatrix(0, 0), tm.BitMatrix(0, 0), 0) == tm.BitMatrix(0, 0)
 
 
 def test_identity_times_matrix():
     rng = tm.CounterRng(167)
     b = tm.random_bitmatrix(rng, 16, 16, 0.3)
-    got = tm.bmm_via_triangle(tm.identity(16), b, tm.BlockSpec(16, 3))
+    got = tm.bmm_via_triangle(tm.identity(16), b, 3)
     assert got == b
 
 
@@ -46,7 +48,7 @@ def test_zero_inputs_cost_one_call_per_block_triple():
     a = tm.BitMatrix(n, n)
     b = tm.BitMatrix(n, n)
     handle, calls = counting_detector(default_detector())
-    out = tm.bmm_via_triangle(a, b, tm.BlockSpec(n, t), handle)
+    out = tm.bmm_via_triangle(a, b, t, handle)
     assert out.count() == 0
     assert calls["n"] == (n // t) ** 3
 
@@ -57,9 +59,17 @@ def test_call_count_is_blocks_plus_discovered_bits():
     a = tm.random_bitmatrix(rng, n, n, 0.15)
     b = tm.random_bitmatrix(rng, n, n, 0.15)
     handle, calls = counting_detector(default_detector())
-    out = tm.bmm_via_triangle(a, b, tm.BlockSpec(n, t), handle)
+    out = tm.bmm_via_triangle(a, b, t, handle)
     blocks = -(-n // t)
     assert calls["n"] == blocks**3 + out.count()
+    # rectangular: one block count per part
+    rows, inner, cols = 13, 5, 30
+    a = tm.random_bitmatrix(rng, rows, inner, 0.3)
+    b = tm.random_bitmatrix(rng, inner, cols, 0.3)
+    handle, calls = counting_detector(default_detector())
+    out = tm.bmm_via_triangle(a, b, t, handle)
+    assert out.count() > 0
+    assert calls["n"] == -(-rows // t) * -(-inner // t) * -(-cols // t) + out.count()
 
 
 def test_matches_scalar_oracle_across_block_sizes():
@@ -70,7 +80,7 @@ def test_matches_scalar_oracle_across_block_sizes():
         b = tm.random_bitmatrix(rng, n, n, 0.25)
         expect = tm.multiply_scalar_oracle(a, b)
         for t in sorted({1, min(2, n), min(4, n), min(8, n), _icbrt_ceil(n)}):
-            assert tm.bmm_via_triangle(a, b, tm.BlockSpec(n, t)) == expect
+            assert tm.bmm_via_triangle(a, b, t) == expect
 
 
 def test_output_is_detector_agnostic():
@@ -78,7 +88,7 @@ def test_output_is_detector_agnostic():
     n = 20
     a = tm.random_bitmatrix(rng, n, n, 0.3)
     b = tm.random_bitmatrix(rng, n, n, 0.3)
-    spec = tm.BlockSpec(n, 4)
+    t = 4
 
     def brute_adapter(g, sub, stats):
         return tm.brute_triangle(g, sub)
@@ -87,7 +97,7 @@ def test_output_is_detector_agnostic():
         return tm.sparse_detect(g, sub, tm.SparseParams(1), stats)
 
     outs = [
-        tm.bmm_via_triangle(a, b, spec, det)
+        tm.bmm_via_triangle(a, b, t, det)
         for det in (None, brute_adapter, sparse_adapter)
     ]
     assert outs[0] == outs[1] == outs[2]
@@ -97,8 +107,6 @@ def test_output_is_detector_agnostic():
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         tm.bmm_via_triangle(tm.BitMatrix(3, 4), tm.BitMatrix(3, 4))
-    with pytest.raises(ValueError):
-        tm.bmm_via_triangle(tm.BitMatrix(3, 3), tm.BitMatrix(3, 3), tm.BlockSpec(4, 2))
 
 
 RECTANGULAR_SHAPES = [
@@ -116,7 +124,7 @@ def test_rectangular_products_match_scalar_oracle(rows, inner, cols):
         expect = tm.multiply_scalar_oracle(a, b)
         assert tm.bmm_via_triangle(a, b) == expect
         for t in sorted({1, min(2, n), min(3, n), min(7, n), n}):
-            got = tm.bmm_via_triangle(a, b, tm.BlockSpec(n, t))
+            got = tm.bmm_via_triangle(a, b, t)
             assert (got.rows, got.cols) == (rows, cols)
             assert got == expect
 
@@ -126,7 +134,7 @@ def test_inputs_are_left_unchanged():
     a = tm.random_bitmatrix(rng, 17, 23, 0.3)
     b = tm.random_bitmatrix(rng, 23, 11, 0.3)
     a_before, b_before = a.copy(), b.copy()
-    out = tm.bmm_via_triangle(a, b, tm.BlockSpec(23, 4))
+    out = tm.bmm_via_triangle(a, b, 4)
     assert out.count() > 0
     assert np.array_equal(a.data, a_before.data) and np.array_equal(b.data, b_before.data)
 

@@ -7,6 +7,7 @@ checks that it found every name and put every original object back.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import trimat as tm
@@ -46,3 +47,25 @@ def test_tracer_patches_existing_names_and_restores_them():
             assert after[name] is value, f"{owner.__name__}.{name} not restored"
     # the library still works through the restored names
     assert tm.bmm_via_triangle(tm.identity(3), tm.identity(3)) == tm.identity(3)
+
+
+def test_tracer_reads_stats_from_a_parameter_named_stats():
+    """`wrap(fn, name, stats_at=k)` reads a RunStats at position k; a signature
+    edit that moves `stats` would make the traced counters read another argument."""
+    pairs = []
+
+    class RecordingTracer(_load_tracer().Tracer):
+        def wrap(self, fn, name, stats_at=None, after=None):
+            if stats_at is not None:
+                pairs.append((fn, stats_at))
+            return super().wrap(fn, name, stats_at, after)
+
+    tracer = RecordingTracer()
+    tracer.install()
+    try:
+        framework.high_degree_finder(2)  # the patched factory wraps each finder it makes
+    finally:
+        tracer.uninstall()
+    assert len(pairs) == 9
+    for fn, stats_at in pairs:
+        assert list(inspect.signature(fn).parameters)[stats_at] == "stats", fn.__qualname__
