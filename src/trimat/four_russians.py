@@ -217,7 +217,8 @@ def sparse_detect(
     """Detect a triangle in a view whose A-degrees satisfy the Step-1 bound.
 
     The verdict is correct on any input; the degree bound only governs the
-    running time, and callers check it with check_degree_condition.
+    running time. high_degree_finder checks the bound with
+    check_degree_condition; other callers only pay for it in running time.
     Each A-vertex's chunk pairs are queried in row-major order up to the
     first hit, and table_queries counts exactly those queries.
     """

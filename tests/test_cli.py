@@ -215,6 +215,22 @@ def test_verify_catches_step4_scan_skipping_its_last_row(capsys, monkeypatch):
     scan = detector.step4_scan
     monkeypatch.setattr(detector, "step4_scan",
                         lambda g, b1, c1, v1, stats: scan(g, b1[:-1], c1, v1, stats))
+    # without the deep multiply run the random stream is unchanged, so the
+    # graph trials' verdict comparison is what reports the mutant
+    monkeypatch.setattr(cli, "DEEP_MULTIPLY_MAX_SIDE", 0)
+    code, out, _ = run(capsys, ["verify", "--seed", "1", "--trials", "10", "--max-size", "24"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "FAIL"
+    assert lines[2].startswith("trial 9: recursive-deep said False, brute force said True")
+
+
+def test_verify_deep_multiply_catches_step4_scan_skipping_its_last_row(capsys, monkeypatch):
+    from trimat import detector
+
+    scan = detector.step4_scan
+    monkeypatch.setattr(detector, "step4_scan",
+                        lambda g, b1, c1, v1, stats: scan(g, b1[:-1], c1, v1, stats))
     code, out, _ = run(capsys, ["verify", "--seed", "1", "--trials", "10", "--max-size", "24"])
     assert code == 1
     lines = out.splitlines()
