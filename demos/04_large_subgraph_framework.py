@@ -10,13 +10,13 @@ rng = tm.CounterRng(4)
 
 
 # A finder must return subsets A', B', C' of the view covering its configured
-# fractions, plus a truthful triangle verdict for the induced block.
+# fractions, plus a truthful Verdict for the induced block.
 def lazy_half_finder(g, sub, stats):
     a = sub.ia[: max(1, (sub.na + 1) // 2)]
     b = sub.ib[: max(1, (sub.nb + 1) // 2)]
     c = sub.ic[: max(1, (sub.nc + 1) // 2)]
     v = tm.brute_triangle(g, tm.SubInstance(g, a, b, c))
-    return FinderResult(a, b, c, not v.found, v.witness)
+    return FinderResult(a, b, c, v)
 
 
 cfg = tm.FrameworkConfig(alpha=0.5, beta=0.5, gamma=0.5, small_volume_threshold=1)
@@ -47,7 +47,7 @@ for density in (0.03, 0.5):
 # The driver polices the contract: undersized or non-subset outputs are
 # rejected before any recursion can go wrong.
 def stingy(g, sub, stats):
-    return FinderResult(sub.ia[:1], sub.ib[:1], sub.ic[:1], True)
+    return FinderResult(sub.ia[:1], sub.ib[:1], sub.ic[:1], tm.Verdict(False))
 
 try:
     tm.detect_with_finder(

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .four_russians import (
     PairTable,
-    SparseParams,
     build_pair_table,
     check_degree_condition,
     sparse_detect,
@@ -66,7 +65,6 @@ __all__ = [
     "InvariantError",
     "PairTable",
     "RunStats",
-    "SparseParams",
     "SubInstance",
     "TableBudgetError",
     "TripartiteGraph",

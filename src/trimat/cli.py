@@ -75,7 +75,7 @@ def _run_detect_algo(algo: str, g: TripartiteGraph, delta: int,
         cfg = detector.DetectorConfig(delta=delta, small_threshold=small_threshold)
         return detector.detect(g, cfg, stats)
     if algo == "sparse":
-        return fr.sparse_detect(g, g.full_view(), fr.SparseParams(delta=delta), stats)
+        return fr.sparse_detect(g, g.full_view(), delta, stats)
     if algo == "framework":
         cfg = framework.FrameworkConfig(small_volume_threshold=small_threshold)
         return framework.detect_with_finder(g, framework.high_degree_finder(delta), cfg, stats)
@@ -140,9 +140,7 @@ def _verify_graph_trial(rng: CounterRng, max_size: int, trial: int) -> str | Non
         ("framework-deep", lambda: framework.detect_with_finder(g, finder, deep_fw, RunStats())),
     ]
     if fr.check_degree_condition(g, g.full_view(), 2) is None:
-        runs.append(
-            ("sparse", lambda: fr.sparse_detect(g, g.full_view(), fr.SparseParams(2), RunStats()))
-        )
+        runs.append(("sparse", lambda: fr.sparse_detect(g, g.full_view(), 2, RunStats())))
     for name, run in runs:
         try:
             verdict = run()
@@ -186,6 +184,7 @@ def _verify_multiply_trial(rng: CounterRng, max_size: int, trial: int) -> str | 
 
 
 def cmd_verify(args) -> int:
+    _require_at_least_one(args, "trials", "max_size")
     rng = CounterRng(args.seed)
     print(f"verify seed={args.seed} trials={args.trials} max-size={args.max_size}")
     for trial in range(args.trials):

@@ -46,6 +46,10 @@ DEFAULT_CHARGE_BUDGET = 1 << 24
 class DetectorConfig:
     """Recursion parameters.
 
+    delta sets the degree bound and the pair table's chunks (groups of
+    delta**3 positions, subsets of at most delta).  The asymptotically
+    prescribed value is below 1 at any feasible input size, so it is a
+    tuning knob here, and one below 1 is refused.
     small_threshold defaults to delta**6, the cutoff below which the
     instance is solved exhaustively; it is exposed because at sensible
     delta values the default is tiny and tests need to force each path.
@@ -58,7 +62,7 @@ class DetectorConfig:
     debug_charge_check: bool = False
 
     def __post_init__(self):
-        self.delta = max(1, int(self.delta))
+        self.delta = fr.check_delta(self.delta)
         if self.small_threshold is None:
             self.small_threshold = self.delta**6
         if self.small_threshold < 1:
@@ -90,8 +94,8 @@ class ChargeLedger:
 class FinderResult:
     """What an easy-part finder returns for one view.
 
-    triangle_free=True certifies the subgraph induced by the three returned
-    lists has no triangle; False means it has one and witness names it.
+    verdict is the truth about the subgraph induced by the three returned
+    lists: not found certifies it triangle-free, found names a triangle.
     fraction_exempt marks outputs whose part sizes are vouched for by the
     finder itself rather than the configured fractions (the built-in
     high-degree finder settles A x B1 x C1, where only the product
@@ -102,8 +106,7 @@ class FinderResult:
     a_part: np.ndarray
     b_part: np.ndarray
     c_part: np.ndarray
-    triangle_free: bool
-    witness: tuple[int, int, int] | None = None
+    verdict: Verdict
     fraction_exempt: bool = False
 
 
@@ -133,16 +136,11 @@ def detect(
             return exhaustive_search(g, sub, stats)
         return None
 
-    finder = high_degree_finder(cfg.delta)
-    if ledger is not None:
-        settle = finder
+    def charge(res: FinderResult, sub: SubInstance) -> None:
+        ledger.charge(res.b_part, res.c_part)
 
-        def finder(g, sub, stats):
-            res = settle(g, sub, stats)
-            ledger.charge(res.b_part, res.c_part)
-            return res
-
-    return _search(g, leaf, finder, stats, view=view)
+    check = charge if ledger is not None else None
+    return _search(g, leaf, high_degree_finder(cfg.delta), stats, check, view)
 
 
 def _search(
@@ -172,8 +170,8 @@ def _search(
         res = finder(g, sub, stats)
         if check is not None:
             check(res, sub)
-        if not res.triangle_free:
-            return Verdict(True, res.witness)
+        if res.verdict.found:
+            return res.verdict
         a2, b2, c2 = res.a_part, res.b_part, res.c_part
         a_rest = np.setdiff1d(sub.ia, a2, assume_unique=True)
         b_rest = np.setdiff1d(sub.ib, b2, assume_unique=True)
@@ -200,27 +198,21 @@ def high_degree_finder(delta: int = 2) -> EasyPartFinder:
     Otherwise the whole view is sparse enough for the lookup-table detector
     and is returned intact.
     """
-    params = fr.SparseParams(delta=delta)
-
     def finder(g: TripartiteGraph, sub: SubInstance, stats: RunStats) -> FinderResult:
-        v1 = fr.check_degree_condition(g, sub, params.delta)
+        v1 = fr.check_degree_condition(g, sub, delta)
         if v1 is None:
-            verdict = fr.sparse_detect(g, sub, params, stats)
+            verdict = fr.sparse_detect(g, sub, delta, stats)
             stats.pairs_charged += sub.nb * sub.nc
-            return FinderResult(
-                sub.ia, sub.ib, sub.ic, not verdict.found, verdict.witness
-            )
+            return FinderResult(sub.ia, sub.ib, sub.ic, verdict)
         b1 = neighborhood(g, sub, v1, "B")
         c1 = neighborhood(g, sub, v1, "C")
         # Step 2: re-assert the guarantee the choice of v1 rests on.
-        if not len(b1) * len(c1) * params.delta**2 > sub.nb * sub.nc:
+        if not len(b1) * len(c1) * delta**2 > sub.nb * sub.nc:
             raise InvariantError(
                 f"selected vertex {v1} does not violate the degree condition"
             )
         scan = step4_scan(g, b1, c1, v1, stats)
-        return FinderResult(
-            sub.ia, b1, c1, not scan.found, scan.witness, fraction_exempt=True
-        )
+        return FinderResult(sub.ia, b1, c1, scan, fraction_exempt=True)
 
     return finder
 

@@ -35,24 +35,11 @@ from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, degrees_all
 DEFAULT_TABLE_BUDGET = 1 << 25  # table entries, one bool byte each: 32 MiB
 
 
-@dataclass
-class SparseParams:
-    """Tuning knob for the sparse detector.
-
-    delta is the chunk-size parameter: groups hold delta**3 positions and
-    table subsets at most delta of them.  The asymptotically prescribed
-    value is below 1 at any feasible input size, so it is a plain tuning
-    knob here, clamped to at least 1.
-    """
-
-    delta: int = 2
-
-    def __post_init__(self):
-        self.delta = max(1, int(self.delta))
-
-    @property
-    def group_size(self) -> int:
-        return self.delta**3
+def check_delta(delta: int) -> int:
+    """delta as an int; a value below 1 is refused with ValueError."""
+    if delta < 1:
+        raise ValueError(f"delta must be at least 1, got {delta}")
+    return int(delta)
 
 
 def check_degree_condition(
@@ -110,8 +97,8 @@ def _side_slots(n: int, delta: int) -> int:
     return full * _subsets_up_to(delta**3, delta) + (_subsets_up_to(rem, delta) if rem else 0)
 
 
-def estimate_table_entries(nb: int, nc: int, params: SparseParams) -> int:
-    return _side_slots(nb, params.delta) * _side_slots(nc, params.delta)
+def estimate_table_entries(nb: int, nc: int, delta: int) -> int:
+    return _side_slots(nb, delta) * _side_slots(nc, delta)
 
 
 def slot_members(n: int, delta: int) -> np.ndarray:
@@ -171,9 +158,7 @@ class PairTable:
         return self.entries.size
 
 
-def build_pair_table(
-    g: TripartiteGraph, ib, ic, params: SparseParams
-) -> PairTable:
+def build_pair_table(g: TripartiteGraph, ib, ic, delta: int) -> PairTable:
     """Precompute edge-existence for every legal subset pair.
 
     ib / ic are the view's (sorted) B and C index lists.  One B-group at a
@@ -184,13 +169,14 @@ def build_pair_table(
     estimated above DEFAULT_TABLE_BUDGET entries is refused before any
     allocation.
     """
+    delta = check_delta(delta)
     ib = np.asarray(ib, dtype=np.int64)
     ic = np.asarray(ic, dtype=np.int64)
-    estimate = estimate_table_entries(len(ib), len(ic), params)
+    estimate = estimate_table_entries(len(ib), len(ic), delta)
     if estimate > DEFAULT_TABLE_BUDGET:
         raise TableBudgetError(estimate, DEFAULT_TABLE_BUDGET)
 
-    delta, gs = params.delta, params.group_size
+    gs = delta**3
     members_c = slot_members(len(ic), delta)
     table = PairTable(np.zeros((_side_slots(len(ib), delta), len(members_c)), dtype=bool))
     offsets = _slot_offsets(delta, min(len(ib), gs))
@@ -210,7 +196,7 @@ def build_pair_table(
 def sparse_detect(
     g: TripartiteGraph,
     sub: SubInstance,
-    params: SparseParams,
+    delta: int,
     stats: RunStats,
     table: PairTable | None = None,
 ) -> Verdict:
@@ -222,11 +208,11 @@ def sparse_detect(
     Each A-vertex's chunk pairs are queried in row-major order up to the
     first hit, and table_queries counts exactly those queries.
     """
+    delta = check_delta(delta)
     if table is None:
-        table = build_pair_table(g, sub.ib, sub.ic, params)
+        table = build_pair_table(g, sub.ib, sub.ic, delta)
     stats.sparse_calls += 1
 
-    delta = params.delta
     ab_w, ac_w = g.ab.words2d, g.ac.words2d
 
     for v in sub.ia:

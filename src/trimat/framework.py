@@ -2,8 +2,8 @@
 
 A finder receives a view and must hand back per-part subsets A', B', C'
 covering prescribed fractions of the view, together with a truthful
-triangle verdict for the induced subgraph (plus a witness when it found
-one).  The search engine in `detector` then owes the rest: it takes the
+`Verdict` for the induced subgraph, which names a witness when it is a
+triangle.  The search engine in `detector` then owes the rest: it takes the
 finder's verdict for the block and recurses on three views that partition
 the remaining triples, so correctness holds for any contract-satisfying
 finder.  This module polices that contract and re-exports the engine's
@@ -88,8 +88,6 @@ def _validate(
     ):
         if len(got) and not np.isin(got, have, assume_unique=True).all():
             raise FinderContractError(f"finder returned {name} not a subset of the view")
-    if not res.triangle_free and res.witness is None:
-        raise FinderContractError("finder reported a triangle without a witness")
     if res.fraction_exempt:
         if len(res.a_part) == 0 or len(res.b_part) == 0 or len(res.c_part) == 0:
             raise FinderContractError("exempt finder output has an empty part")
@@ -108,10 +106,10 @@ def _validate(
 
 def _verify_truthfulness(g: TripartiteGraph, res: FinderResult) -> None:
     """Debug-mode spot check of the finder's verdict against brute force."""
-    if res.witness is not None:
-        a, b, c = res.witness
+    if res.verdict.found:
+        a, b, c = res.verdict.witness
         if not (g.ab.get(a, b) and g.ac.get(a, c) and g.bc.get(b, c)):
-            raise FinderContractError(f"finder witness {res.witness} is not a triangle")
+            raise FinderContractError(f"finder witness {res.verdict.witness} is not a triangle")
         return
     vol = len(res.a_part) * len(res.b_part) * len(res.c_part)
     if vol > DEBUG_VERIFY_VOLUME_CAP:

@@ -52,7 +52,7 @@ def test_c1_detection_matches_oracle():
             if tm.check_degree_condition(g, g.full_view(), 2) is None:
                 sparse_runs += 1
                 verdicts.append(
-                    tm.sparse_detect(g, g.full_view(), tm.SparseParams(2), tm.RunStats())
+                    tm.sparse_detect(g, g.full_view(), 2, tm.RunStats())
                 )
             for v in verdicts:
                 if v.found != expect.found:
@@ -154,9 +154,8 @@ def test_c5_pair_table_matches_exhaustive_checking():
         nc = 1 + rng.next_below(cap)
         density = DENSITIES[rng.next_below(len(DENSITIES))]
         g = tm.random_tripartite(rng, 1, nb, nc, density)
-        params = tm.SparseParams(delta)
         ib, ic = np.arange(nb), np.arange(nc)
-        table = build_pair_table(g, ib, ic, params)
+        table = build_pair_table(g, ib, ic, delta)
         subsets_b = subsets_in_slot_order(nb, delta)
         subsets_c = subsets_in_slot_order(nc, delta)
         assert table.entries.shape == (len(subsets_b), len(subsets_c))

@@ -198,7 +198,7 @@ def test_verify_catches_a_faulty_finder_in_a_multiply_trial(capsys, monkeypatch)
 
     def blind_finder(*args, **kwargs):
         # settles every view as triangle-free without looking at it
-        return lambda g, sub, stats: detector.FinderResult(sub.ia, sub.ib, sub.ic, True)
+        return lambda g, sub, stats: detector.FinderResult(sub.ia, sub.ib, sub.ic, tm.Verdict(False))
 
     monkeypatch.setattr(detector, "high_degree_finder", blind_finder)
     monkeypatch.setattr(cli, "_verify_graph_trial", lambda *args: None)
@@ -424,6 +424,12 @@ def test_internal_value_error_exits_1_not_as_bad_input(tmp_path, capsys, monkeyp
         (["bench", "--sizes", "-4", "--densities", "0.5", "--algos", "brute"], "--sizes"),
         (["multiply", "--a", "A23", "--b", "B32", "--algo", "via-triangle", "--block", "0"],
          "block side must lie in [1, 3], got 0"),
+        (["verify", "--seed", "1", "--trials", "3", "--max-size", "-5"],
+         "--max-size must be at least 1, got -5"),
+        (["verify", "--seed", "1", "--trials", "3", "--max-size", "0"],
+         "--max-size must be at least 1, got 0"),
+        (["verify", "--seed", "1", "--trials", "-2", "--max-size", "4"],
+         "--trials must be at least 1, got -2"),
     ],
 )
 def test_bad_flag_values_exit_2_before_any_output(tmp_path, capsys, argv, message):

@@ -3,6 +3,7 @@ import pytest
 
 import trimat as tm
 from trimat.bitmat import pack_index_mask, unpack_word_indices
+from trimat import detector
 from trimat.detector import ChargeLedger
 
 from .conftest import assert_witness_valid, complete_tripartite, first_set_bit
@@ -231,6 +232,31 @@ def test_charge_ledger_flags_duplicates():
         led.charge(np.array([1]), np.array([3]))
 
 
+def test_detect_ledger_charges_finder_blocks(monkeypatch):
+    real = detector.high_degree_finder
+
+    def replaying(delta):
+        # a faulty finder: every call after the first settles the first block again
+        finder, first = real(delta), []
+
+        def replay(g, sub, stats):
+            if not first:
+                first.append(finder(g, sub, stats))
+            return first[0]
+
+        return replay
+
+    monkeypatch.setattr(detector, "high_degree_finder", replaying)
+    g = tm.TripartiteGraph(12, 12, 12)
+    for a in range(12):
+        for x in range(12 if a else 8):
+            g.ab.set(a, x)
+            g.ac.set(a, x)
+    cfg = tm.DetectorConfig(delta=2, small_threshold=1, debug_charge_check=True)
+    with pytest.raises(tm.InvariantError, match="charged twice"):
+        tm.detect(g, cfg)
+
+
 def test_charging_is_unique_across_random_runs():
     rng = tm.CounterRng(113)
     cfg = tm.DetectorConfig(delta=2, small_threshold=2, debug_charge_check=True)
@@ -281,7 +307,7 @@ def test_empty_parts_short_circuit():
     for dims in ((0, 5, 5), (5, 0, 5), (5, 5, 0), (0, 0, 0)):
         g = tm.TripartiteGraph(*dims)
         assert not tm.detect(g).found
-        assert not tm.sparse_detect(g, g.full_view(), tm.SparseParams(2), tm.RunStats()).found
+        assert not tm.sparse_detect(g, g.full_view(), 2, tm.RunStats()).found
         assert not tm.detect_with_finder(g, tm.high_degree_finder(2)).found
         assert not tm.triangle_via_bmm(g).found
         assert not tm.brute_triangle(g).found

@@ -73,17 +73,17 @@ def test_subset_slots_are_a_bijection():
 
 
 def test_pair_table_edgeless_and_complete():
-    params = tm.SparseParams(delta=2)
+    delta = 2
     edgeless = tm.TripartiteGraph(1, 20, 20)
-    t = build_pair_table(edgeless, np.arange(20), np.arange(20), params)
+    t = build_pair_table(edgeless, np.arange(20), np.arange(20), delta)
     assert not t.entries.any()
 
     dense = tm.TripartiteGraph(1, 12, 12)
     for b in range(12):
         for c in range(12):
             dense.bc.set(b, c)
-    t2 = build_pair_table(dense, np.arange(12), np.arange(12), params)
-    subsets = subsets_in_slot_order(12, params.delta)
+    t2 = build_pair_table(dense, np.arange(12), np.arange(12), delta)
+    subsets = subsets_in_slot_order(12, delta)
     for sb, ob in enumerate(subsets):
         for sc, oc in enumerate(subsets):
             assert bool(t2.entries[sb, sc]) == (bool(ob) and bool(oc))
@@ -93,19 +93,19 @@ def test_pair_table_random_matches_exhaustive_check():
     rng = tm.CounterRng(79)
     g = tm.random_tripartite(rng, 1, 40, 40, 0.08)
     ib, ic = np.arange(40), np.arange(40)
-    table = build_pair_table(g, ib, ic, tm.SparseParams(delta=2))
+    table = build_pair_table(g, ib, ic, 2)
     assert exhaustive_pair_check(g, ib, ic, table, 2) == 0
 
 
 def test_pair_table_budget_error():
     # 60 = 27 + 27 + 6 positions per side: (2*3304 + 42)**2 > 2**25 entries at delta=3
-    params = tm.SparseParams(delta=3)
+    delta = 3
     g = tm.TripartiteGraph(1, 60, 60)
     with pytest.raises(tm.TableBudgetError) as err:
-        build_pair_table(g, np.arange(60), np.arange(60), params)
+        build_pair_table(g, np.arange(60), np.arange(60), delta)
     assert err.value.estimated_entries == 44_222_500 > DEFAULT_TABLE_BUDGET
     assert err.value.budget == DEFAULT_TABLE_BUDGET
-    assert estimate_table_entries(60, 60, params) == err.value.estimated_entries
+    assert estimate_table_entries(60, 60, delta) == err.value.estimated_entries
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,7 +142,7 @@ def test_chunk_partition_properties(positions, delta):
 
 def test_sparse_detect_trivial(single_triangle):
     stats = tm.RunStats()
-    v = tm.sparse_detect(single_triangle, single_triangle.full_view(), tm.SparseParams(1), stats)
+    v = tm.sparse_detect(single_triangle, single_triangle.full_view(), 1, stats)
     assert v.found and v.witness == (0, 0, 0)
     assert stats.sparse_calls == 1
     assert stats.table_queries >= 1
@@ -152,13 +152,13 @@ def test_sparse_detect_no_bc_edges():
     g = complete_tripartite(6, 6, 6)
     g.bc = tm.BitMatrix(6, 6)
     stats = tm.RunStats()
-    assert not tm.sparse_detect(g, g.full_view(), tm.SparseParams(2), stats).found
+    assert not tm.sparse_detect(g, g.full_view(), 2, stats).found
 
 
 def test_sparse_detect_matches_brute_force_when_precondition_holds():
     rng = tm.CounterRng(83)
     checked = 0
-    params = tm.SparseParams(delta=2)
+    delta = 2
     while checked < 40:
         na, nb, nc = (1 + rng.next_below(60) for _ in range(3))
         g = tm.random_tripartite(rng, na, nb, nc, 0.05)
@@ -167,7 +167,7 @@ def test_sparse_detect_matches_brute_force_when_precondition_holds():
             continue
         checked += 1
         stats = tm.RunStats()
-        got = tm.sparse_detect(g, sub, params, stats)
+        got = tm.sparse_detect(g, sub, delta, stats)
         expect = tm.brute_triangle(g)
         assert got.found == expect.found
         if got.found:
@@ -219,10 +219,10 @@ def test_sparse_detect_witness_matches_chunk_rescan(nc, delta):
     g.bc.set(int(sub.ib[-1]), int(sub.ic[-1]))
     cases.append((g, sub))
     for g, sub in cases:
-        got = tm.sparse_detect(g, sub, tm.SparseParams(delta), tm.RunStats())
+        got = tm.sparse_detect(g, sub, delta, tm.RunStats())
         assert got == _sparse_witness_reference(g, sub, delta)
     assert got.witness == (5, sub.ib[-1], sub.ic[-1])
-    assert any(not tm.sparse_detect(g, sub, tm.SparseParams(delta), tm.RunStats()).found
+    assert any(not tm.sparse_detect(g, sub, delta, tm.RunStats()).found
                for g, sub in cases)
 
 
@@ -232,15 +232,19 @@ def test_sparse_detect_is_deterministic():
     runs = []
     for _ in range(2):
         stats = tm.RunStats()
-        v = tm.sparse_detect(g, g.full_view(), tm.SparseParams(2), stats)
+        v = tm.sparse_detect(g, g.full_view(), 2, stats)
         runs.append((v, stats.table_queries))
     assert runs[0] == runs[1]
 
 
-def test_delta_below_one_is_clamped():
-    params = tm.SparseParams(delta=0)
-    assert params.delta == 1
-    assert params.group_size == 1
+def test_delta_below_one_raises():
+    g = tm.TripartiteGraph(2, 2, 2)
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        tm.DetectorConfig(delta=0)
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        build_pair_table(g, np.arange(2), np.arange(2), 0)
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        tm.sparse_detect(g, g.full_view(), 0, tm.RunStats())
 
 
 def _pinned_graph(seed, n, density, triangle_free, hub):
@@ -278,7 +282,7 @@ def test_counters_are_pinned(case, sparse_expect, detect_expect):
     assert tm.brute_triangle(g).found == (not triangle_free)
 
     stats = tm.RunStats()
-    v = tm.sparse_detect(g, g.full_view(), tm.SparseParams(delta), stats)
+    v = tm.sparse_detect(g, g.full_view(), delta, stats)
     assert (v.witness, stats.table_queries, stats.sparse_calls) == sparse_expect
 
     stats = tm.RunStats()
@@ -292,9 +296,9 @@ def test_large_delta_on_a_small_view():
     g = tm.random_tripartite(rng, 6, 6, 6, 0.5)
     for delta in (4, 50):
         stats = tm.RunStats()
-        v = tm.sparse_detect(g, g.full_view(), tm.SparseParams(delta), stats)
+        v = tm.sparse_detect(g, g.full_view(), delta, stats)
         assert v.found == tm.brute_triangle(g).found
-        table = build_pair_table(g, np.arange(6), np.arange(6), tm.SparseParams(delta))
+        table = build_pair_table(g, np.arange(6), np.arange(6), delta)
         side = sum(comb(6, k) for k in range(min(delta, 6) + 1))
         assert table.entries.shape == (side, side)
         assert exhaustive_pair_check(g, np.arange(6), np.arange(6), table, delta) == 0

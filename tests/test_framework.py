@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import trimat as tm
 from trimat.framework import FinderResult
+from trimat.graph import Verdict
 
 from .conftest import assert_witness_valid, complete_tripartite
 
@@ -15,7 +16,7 @@ from .conftest import assert_witness_valid, complete_tripartite
 def whole_view_brute_finder(g, sub, stats):
     """Finder that answers the full view with brute force (alpha=beta=gamma=1)."""
     v = tm.brute_triangle(g, sub)
-    return FinderResult(sub.ia, sub.ib, sub.ic, not v.found, v.witness)
+    return FinderResult(sub.ia, sub.ib, sub.ic, v)
 
 
 def fraction_finder(alpha, beta, gamma):
@@ -27,7 +28,7 @@ def fraction_finder(alpha, beta, gamma):
         b = sub.ib[: max(1, math.ceil(beta * sub.nb - 1e-9))]
         c = sub.ic[: max(1, math.ceil(gamma * sub.nc - 1e-9))]
         v = tm.brute_triangle(g, tm.SubInstance(g, a, b, c))
-        return FinderResult(a, b, c, not v.found, v.witness)
+        return FinderResult(a, b, c, v)
 
     return finder
 
@@ -97,21 +98,21 @@ def test_high_degree_finder_branches():
     view = dense.full_view()
     res = finder(dense, view, tm.RunStats())
     assert res.fraction_exempt
-    assert not res.triangle_free and res.witness is not None
+    assert res.verdict.found
     # the violating vertex sees everything, so its block spans B and C whole
     assert np.array_equal(res.a_part, view.ia)
     assert len(res.b_part) == 8 and len(res.c_part) == 8
 
     edgeless = tm.TripartiteGraph(4, 4, 4)
     res2 = finder(edgeless, edgeless.full_view(), tm.RunStats())
-    assert res2.triangle_free and not res2.fraction_exempt
+    assert not res2.verdict.found and not res2.fraction_exempt
     assert len(res2.b_part) == 4
 
     rng = tm.CounterRng(151)
     sparse = tm.random_tripartite(rng, 40, 40, 40, 0.02)
     if tm.check_degree_condition(sparse, sparse.full_view(), 2) is None:
         res3 = finder(sparse, sparse.full_view(), tm.RunStats())
-        assert res3.triangle_free == (not tm.brute_triangle(sparse).found)
+        assert res3.verdict.found == tm.brute_triangle(sparse).found
 
 
 def test_random_legal_fraction_finders_stay_correct():
@@ -182,7 +183,7 @@ def test_recursion_limit_is_left_alone():
 
 def test_driver_rejects_undersized_parts():
     def stingy(g, sub, stats):
-        return FinderResult(sub.ia[:1], sub.ib[:1], sub.ic[:1], True)
+        return FinderResult(sub.ia[:1], sub.ib[:1], sub.ic[:1], Verdict(False))
 
     g = complete_tripartite(6, 6, 6)
     g.bc = tm.BitMatrix(6, 6)
@@ -194,25 +195,16 @@ def test_driver_rejects_undersized_parts():
 
 def test_driver_rejects_non_subset_output():
     def leaky(g, sub, stats):
-        return FinderResult(np.arange(g.nA + 5), sub.ib, sub.ic, True)
+        return FinderResult(np.arange(g.nA + 5), sub.ib, sub.ic, Verdict(False))
 
     g = tm.TripartiteGraph(3, 3, 3)
     with pytest.raises(tm.FinderContractError):
         tm.detect_with_finder(g, leaky, tm.FrameworkConfig(small_volume_threshold=1))
 
 
-def test_driver_rejects_missing_witness():
-    def mute(g, sub, stats):
-        return FinderResult(sub.ia, sub.ib, sub.ic, False, None)
-
-    g = complete_tripartite(3, 3, 3)
-    with pytest.raises(tm.FinderContractError):
-        tm.detect_with_finder(g, mute, tm.FrameworkConfig(small_volume_threshold=1))
-
-
 def test_debug_mode_catches_lying_finder(single_triangle):
     def liar(g, sub, stats):
-        return FinderResult(sub.ia, sub.ib, sub.ic, True)
+        return FinderResult(sub.ia, sub.ib, sub.ic, Verdict(False))
 
     cfg = tm.FrameworkConfig(small_volume_threshold=1, debug_verify_finder=True)
     with pytest.raises(tm.FinderContractError):
@@ -221,7 +213,7 @@ def test_debug_mode_catches_lying_finder(single_triangle):
 
 def test_debug_mode_checks_witness_edges():
     def fabricator(g, sub, stats):
-        return FinderResult(sub.ia, sub.ib, sub.ic, False, (0, 0, 0))
+        return FinderResult(sub.ia, sub.ib, sub.ic, Verdict(True, (0, 0, 0)))
 
     g = tm.TripartiteGraph(2, 2, 2)  # edgeless; (0,0,0) is no triangle
     cfg = tm.FrameworkConfig(small_volume_threshold=1, debug_verify_finder=True)

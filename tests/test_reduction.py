@@ -94,7 +94,7 @@ def test_output_is_detector_agnostic():
         return tm.brute_triangle(g, sub)
 
     def sparse_adapter(g, sub, stats):
-        return tm.sparse_detect(g, sub, tm.SparseParams(1), stats)
+        return tm.sparse_detect(g, sub, 1, stats)
 
     outs = [
         tm.bmm_via_triangle(a, b, t, det)
