@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # The degree-bounded sparse case: group the B and C parts, precompute
-# edge-existence for every small subset pair into a table, then answer each
-# A-vertex's neighborhood chunk pairs with a single gather from it.
+# edge-existence for every small subset pair into a table, then cut the
+# neighborhoods of a block of A-vertices into chunks in one pass and answer
+# each vertex's chunk pairs with a single gather from it.
 
 import numpy as np
 

@@ -4,9 +4,10 @@ The B and C parts of the view are split into groups of delta**3
 consecutive positions.  For every subset of at most delta positions inside
 a single B-group and every such subset inside a single C-group, a table
 records whether any B-C edge runs between the two subsets.  A detection
-pass then cuts each A-vertex's neighborhoods into such chunks and answers
-all of its chunk pairs with one table gather, which is where the
-per-query log-factor savings come from.
+pass cuts the neighborhoods of a whole block of A-vertices into such
+chunks in one numpy pass, then answers all of each vertex's chunk pairs
+with one table gather, which is where the per-query log-factor savings
+come from.
 
 A subset's table slot is a pure function of the subset.  Let
 S(m, c) = sum_{k<=c} C(m, k), the number of subsets of at most c out of m
@@ -28,11 +29,15 @@ from math import comb
 
 import numpy as np
 
-from .bitmat import first_set_bit_2d, pack_index_mask, unpack_word_indices
+from .bitmat import BitMatrix, first_set_bit_2d, pack_index_mask
 from .errors import InvariantError, TableBudgetError
 from .graph import RunStats, SubInstance, TripartiteGraph, Verdict, degrees_all
 
 DEFAULT_TABLE_BUDGET = 1 << 25  # table entries, one bool byte each: 32 MiB
+# Bits one block of the sparse scan unpacks per side.  Cutting a whole view
+# at once is exact too, but at 1024 per part its temporaries outgrow the
+# pair table (75 MB against 22 MB); blocked they stay under 1 MB.
+CUT_BITS = 1 << 13
 
 
 def check_delta(delta: int) -> int:
@@ -114,13 +119,19 @@ def slot_members(n: int, delta: int) -> np.ndarray:
     return members[: _side_slots(n, delta)]
 
 
-def chunk_slots(positions: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+def chunk_slots(
+    positions: np.ndarray, delta: int, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Cut sorted view positions into table chunks: (slots, bounds).
 
     Within each group the positions are cut into consecutive runs of
     exactly delta plus at most one smaller remainder, which is the minimum
     possible number of legal table subsets covering them.  Chunk k holds
     positions[bounds[k]:bounds[k + 1]] and sits in table slot slots[k].
+
+    rows, if given, is a sorted key with one entry per position, and the
+    positions need only be sorted within each row.  A run also restarts
+    where the row changes, so each row is cut exactly as on its own.
     """
     n = len(positions)
     if n == 0:
@@ -128,11 +139,13 @@ def chunk_slots(positions: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarr
     gs = delta**3
     # counts reaches row gs, and so holds the group stride S(gs, delta),
     # whenever a position lies beyond group 0
-    counts = _subset_counts(delta, min(gs, int(positions[-1]) + 1))
+    counts = _subset_counts(delta, min(gs, int(positions.max()) + 1))
     group = positions // gs
     idx = np.arange(n)
     group_start = np.ones(n, dtype=bool)
     group_start[1:] = group[1:] != group[:-1]
+    if rows is not None:
+        group_start[1:] |= rows[1:] != rows[:-1]
     rank = idx - np.maximum.accumulate(np.where(group_start, idx, 0))
     starts = np.flatnonzero(rank % delta == 0)
     bounds = np.append(starts, n)
@@ -189,8 +202,21 @@ def build_pair_table(g: TripartiteGraph, ib, ic, delta: int) -> PairTable:
         block = table.entries[lo : lo + len(offsets)]
         rows = np.logical_or.reduce(bc[offsets[: len(block)]], axis=1)
         for col in members_c.T:
-            block |= rows[:, col]
+            block |= np.take(rows, col, axis=1)
     return table
+
+
+def _cut_block(m: BitMatrix, block: np.ndarray, cols: np.ndarray, delta: int):
+    """Chunks of the block's rows of m at the view's columns cols.
+
+    Returns (pos, slots, bounds, first): chunk k holds the view positions
+    pos[bounds[k]:bounds[k + 1]] and sits in table slot slots[k], and the
+    chunks of block[i] are first[i]:first[i + 1], in chunk_slots order.
+    """
+    rows, pos = np.nonzero(m.bits(block)[:, cols])
+    slots, bounds = chunk_slots(pos, delta, rows)
+    first = np.searchsorted(rows[bounds[:-1]], np.arange(len(block) + 1))
+    return pos, slots, bounds, first.tolist()
 
 
 def sparse_detect(
@@ -205,39 +231,39 @@ def sparse_detect(
     The verdict is correct on any input; the degree bound only governs the
     running time. high_degree_finder checks the bound with
     check_degree_condition; other callers only pay for it in running time.
-    Each A-vertex's chunk pairs are queried in row-major order up to the
-    first hit, and table_queries counts exactly those queries.
+    The A-vertices are taken in blocks that unpack at most CUT_BITS bits
+    per side; a block's neighborhoods are cut into chunks in one pass, and
+    then each vertex's chunk pairs are answered by one table gather.  Each
+    A-vertex's chunk pairs are queried in row-major order up to the first
+    hit, and table_queries counts exactly those queries.
     """
     delta = check_delta(delta)
     if table is None:
         table = build_pair_table(g, sub.ib, sub.ic, delta)
     stats.sparse_calls += 1
 
-    ab_w, ac_w = g.ab.words2d, g.ac.words2d
-
-    for v in sub.ia:
-        v = int(v)
-        nb_global = unpack_word_indices(ab_w[v] & sub.mask_b)
-        if nb_global.size == 0:
-            continue
-        nc_global = unpack_word_indices(ac_w[v] & sub.mask_c)
-        if nc_global.size == 0:
-            continue
-        slots_b, bounds_b = chunk_slots(np.searchsorted(sub.ib, nb_global), delta)
-        slots_c, bounds_c = chunk_slots(np.searchsorted(sub.ic, nc_global), delta)
-        hits = table.entries[np.ix_(slots_b, slots_c)].ravel()
-        first = int(hits.argmax())
-        if not hits[first]:
-            stats.table_queries += hits.size
-            continue
-        stats.table_queries += first + 1
-        # A hit names only the chunk pair; rescan the <= delta x delta
-        # block to recover concrete endpoints.
-        kb, kc = divmod(first, len(slots_c))
-        rows = nb_global[bounds_b[kb] : bounds_b[kb + 1]]
-        mask = pack_index_mask(nc_global[bounds_c[kc] : bounds_c[kc + 1]], g.nC)
-        row, c = first_set_bit_2d(g.bc.words2d[rows] & mask)
-        if row < 0:
-            raise InvariantError("table hit with no edge in the chunk pair")
-        return Verdict(True, (v, int(rows[row]), c))
+    step = max(1, CUT_BITS // max(g.nB, g.nC, 1))
+    for lo in range(0, sub.na, step):
+        block = sub.ia[lo : lo + step]
+        pos_b, slots_b, bounds_b, first_b = _cut_block(g.ab, block, sub.ib, delta)
+        pos_c, slots_c, bounds_c, first_c = _cut_block(g.ac, block, sub.ic, delta)
+        for i in range(len(block)):
+            b0, b1, c0, c1 = first_b[i], first_b[i + 1], first_c[i], first_c[i + 1]
+            if b0 == b1 or c0 == c1:
+                continue
+            hits = table.entries[np.ix_(slots_b[b0:b1], slots_c[c0:c1])].ravel()
+            first = int(hits.argmax())
+            if not hits[first]:
+                stats.table_queries += hits.size
+                continue
+            stats.table_queries += first + 1
+            # A hit names only the chunk pair; rescan its <= delta x delta
+            # B-C bits to recover concrete endpoints.
+            kb, kc = divmod(first, c1 - c0)
+            rows = sub.ib[pos_b[bounds_b[b0 + kb] : bounds_b[b0 + kb + 1]]]
+            cols = sub.ic[pos_c[bounds_c[c0 + kc] : bounds_c[c0 + kc + 1]]]
+            row, c = first_set_bit_2d(g.bc.words2d[rows] & pack_index_mask(cols, g.nC))
+            if row < 0:
+                raise InvariantError("table hit with no edge in the chunk pair")
+            return Verdict(True, (int(block[i]), int(rows[row]), c))
     return Verdict(False)

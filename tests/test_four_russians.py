@@ -1,14 +1,16 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trimat as tm
 from trimat.bitmat import pack_index_mask
 from trimat.four_russians import (
+    CUT_BITS,
     DEFAULT_TABLE_BUDGET,
     build_pair_table,
     chunk_slots,
@@ -140,6 +142,29 @@ def test_chunk_partition_properties(positions, delta):
         assert len(slots) <= bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.integers(0, 80), unique=True, max_size=12), max_size=6),
+    delta=st.integers(1, 3),
+)
+@example(rows=[[0, 1, 2], [3, 4]], delta=2)  # row 1 starts inside row 0's last group
+@example(rows=[[], [5, 9], []], delta=1)
+@example(rows=[[7, 26, 27, 28, 30]], delta=3)
+def test_multi_row_cut_equals_per_row_cuts(rows, delta):
+    positions = [np.asarray(sorted(r), dtype=np.int64) for r in rows]
+    key = np.repeat(np.arange(len(rows)), np.array([len(p) for p in positions], dtype=np.int64))
+    slots, bounds = chunk_slots(np.concatenate([np.zeros(0, np.int64), *positions]), delta, key)
+
+    expect_slots, expect_bounds, offset = [], [0], 0
+    for p in positions:
+        s, b = chunk_slots(p, delta)
+        expect_slots += s.tolist()
+        expect_bounds += (b[1:] + offset).tolist()
+        offset += len(p)
+    assert slots.tolist() == expect_slots
+    assert bounds.tolist() == expect_bounds
+
+
 def test_sparse_detect_trivial(single_triangle):
     stats = tm.RunStats()
     v = tm.sparse_detect(single_triangle, single_triangle.full_view(), 1, stats)
@@ -174,9 +199,11 @@ def test_sparse_detect_matches_brute_force_when_precondition_holds():
             assert_witness_valid(g, got)
 
 
-def _sparse_witness_reference(g, sub, delta):
+def _sparse_witness_reference(g, sub, delta, stats=None):
     """Per A-vertex, the first chunk pair with an edge in row-major order,
-    re-scanned with one BitMatrix.get per pair (the former witness recovery)."""
+    re-scanned with one BitMatrix.get per pair (the former witness recovery).
+    Every chunk pair tried up to that one counts in stats.table_queries."""
+    stats = tm.RunStats() if stats is None else stats
     for v in sub.ia.tolist():
         nb = tm.neighborhood(g, sub, v, "B")
         nc = tm.neighborhood(g, sub, v, "C")
@@ -186,6 +213,7 @@ def _sparse_witness_reference(g, sub, delta):
         bounds_c = chunk_slots(np.searchsorted(sub.ic, nc), delta)[1]
         for kb in range(len(bounds_b) - 1):
             for kc in range(len(bounds_c) - 1):
+                stats.table_queries += 1
                 for b in nb[bounds_b[kb] : bounds_b[kb + 1]].tolist():
                     for c in nc[bounds_c[kc] : bounds_c[kc + 1]].tolist():
                         if g.bc.get(b, c):
@@ -226,6 +254,32 @@ def test_sparse_detect_witness_matches_chunk_rescan(nc, delta):
                for g, sub in cases)
 
 
+@pytest.mark.parametrize("delta", [1, 2])
+def test_sparse_detect_across_cut_blocks(delta):
+    # 512 per side puts CUT_BITS // 512 = 16 A-vertices in a block; 53 span four blocks
+    n = 512
+    step = CUT_BITS // n
+    g = tm.random_tripartite(tm.CounterRng(97), 3 * step + 5, n, n, 0.02)
+    g.ac.data &= ~tm.multiply_bitpacked(g.ab, g.bc).data
+    free = tm.TripartiteGraph(g.nA, n, n)
+    free.ab, free.ac, free.bc = g.ab.copy(), g.ac.copy(), g.bc.copy()
+    # the one triangle starts the third block: no earlier vertex sees both b and c
+    v, b, c = 2 * step, 100, 200
+    g.ab.set(v, b)
+    g.ac.set(v, c)
+    g.bc.set(b, c)
+    for a in range(v):
+        if g.ab.get(a, b):
+            g.ac.set(a, c, False)
+    for graph, expect in ((free, None), (g, (v, b, c))):
+        stats, ref_stats = tm.RunStats(), tm.RunStats()
+        got = tm.sparse_detect(graph, graph.full_view(), delta, stats)
+        assert got == _sparse_witness_reference(graph, graph.full_view(), delta, ref_stats)
+        assert got.witness == expect
+        assert stats.table_queries == ref_stats.table_queries > 0
+        assert stats.sparse_calls == 1
+
+
 def test_sparse_detect_is_deterministic():
     rng = tm.CounterRng(89)
     g = tm.random_tripartite(rng, 30, 30, 30, 0.1)
@@ -245,6 +299,24 @@ def test_delta_below_one_raises():
         build_pair_table(g, np.arange(2), np.arange(2), 0)
     with pytest.raises(ValueError, match="delta must be at least 1"):
         tm.sparse_detect(g, g.full_view(), 0, tm.RunStats())
+
+
+def test_sparse_scan_memory_stays_far_below_the_table():
+    # sparse-free style at 1024 per part: AB and BC at density 0.01, AC = not(AB.BC)
+    n = 1024
+    g = tm.random_tripartite(tm.CounterRng(103), n, n, n, 0.01)
+    g.ac = tm.multiply_bitpacked(g.ab, g.bc).complement()
+    sub = g.full_view()
+    table = build_pair_table(g, sub.ib, sub.ic, 2)
+    tracemalloc.start()
+    try:
+        verdict = tm.sparse_detect(g, sub, 2, tm.RunStats(), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.found
+    # cutting the whole view in one pass would take about 3x the table
+    assert peak < table.entries.nbytes // 8
 
 
 def _pinned_graph(seed, n, density, triangle_free, hub):
